@@ -15,7 +15,6 @@
 #include "nn/kernels.h"
 #include "nn/kernels_dispatch.h"
 #include "nn/module.h"
-#include "nn/quant.h"
 #include "nn/ops.h"
 #include "schema/schema_graph.h"
 #include "serving/encoder_service.h"
@@ -288,7 +287,9 @@ void BM_ServingColdEncode(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_ServingColdEncode);
+// The encode runs on the service's dispatcher thread, so the calling
+// thread's CPU time would undercount it: rate items by wall time.
+BENCHMARK(BM_ServingColdEncode)->UseRealTime();
 
 // --- Parallel tensor kernels -------------------------------------------
 // Shapes are sized so the per-row work comfortably exceeds the pool grain;
@@ -312,7 +313,7 @@ void BM_MatMulKernel(benchmark::State& state) {
 }
 BENCHMARK(BM_MatMulKernel)->Arg(96)->Arg(192);
 
-// --- Kernel dispatch backends (scalar vs AVX2 vs int8) -------------------
+// --- Kernel dispatch backends (scalar vs AVX2) ---------------------------
 // The same square GEMM through each kernel table directly, so the ISSUE's
 // AVX2-over-scalar speedup is measured at the kernel floor with no
 // dispatch-table indirection in the loop body.
@@ -347,29 +348,9 @@ void BM_MatMulKernelAvx2(benchmark::State& state) {
 }
 BENCHMARK(BM_MatMulKernelAvx2)->Arg(96)->Arg(192);
 
-// The int8 path pays per-row activation quantization inside the loop, as
-// the encode path does.
-void BM_MatMulKernelInt8(benchmark::State& state) {
-  const int n = static_cast<int>(state.range(0));
-  Rng rng(10);
-  nn::Tensor w = nn::Tensor::Randn({n, n}, rng, 1.0f);
-  auto qw = nn::quant::QuantizeWeight(w);
-  const size_t elems = static_cast<size_t>(n) * static_cast<size_t>(n);
-  std::vector<float> a(elems), out(elems, 0.0f);
-  for (auto& v : a) v = static_cast<float>(rng.NextGaussian());
-  for (auto _ : state) {
-    std::fill(out.begin(), out.end(), 0.0f);
-    nn::quant::Int8MatMulForward(a.data(), *qw, out.data(), n);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(state.iterations() * 2LL * n * n * n);
-}
-BENCHMARK(BM_MatMulKernelInt8)->Arg(96)->Arg(192);
-
-// End-to-end no-grad encode under a forced kernel impl / the int8 path:
-// the serving-visible form of the same speedup.
-void EncodeNoGradImplBench(benchmark::State& state, const char* impl,
-                           bool use_int8) {
+// End-to-end no-grad encode under a forced kernel impl: the
+// serving-visible form of the same speedup.
+void EncodeNoGradImplBench(benchmark::State& state, const char* impl) {
   const char* entry_impl = nn::kernels::ActiveImplName();
   if (!nn::kernels::SetActiveImpl(impl)) {
     state.SkipWithError("kernel impl unavailable on this host");
@@ -379,7 +360,6 @@ void EncodeNoGradImplBench(benchmark::State& state, const char* impl,
     tasks::PreqrEncoder::Options options;
     options.cache_capacity = 1;
     options.cache_shards = 1;
-    options.use_int8 = use_int8;
     tasks::PreqrEncoder encoder(S().model.get(), options);
     for (auto _ : state) {
       encoder.InvalidateCache();
@@ -390,21 +370,14 @@ void EncodeNoGradImplBench(benchmark::State& state, const char* impl,
 }
 
 void BM_EncodeNoGradScalar(benchmark::State& state) {
-  EncodeNoGradImplBench(state, "scalar", /*use_int8=*/false);
+  EncodeNoGradImplBench(state, "scalar");
 }
 BENCHMARK(BM_EncodeNoGradScalar);
 
 void BM_EncodeNoGradAvx2(benchmark::State& state) {
-  EncodeNoGradImplBench(state, "avx2", /*use_int8=*/false);
+  EncodeNoGradImplBench(state, "avx2");
 }
 BENCHMARK(BM_EncodeNoGradAvx2);
-
-void BM_EncodeNoGradInt8(benchmark::State& state) {
-  EncodeNoGradImplBench(
-      state, nn::kernels::Avx2Supported() ? "avx2" : "scalar",
-      /*use_int8=*/true);
-}
-BENCHMARK(BM_EncodeNoGradInt8);
 
 void BM_MatMulForward(benchmark::State& state) {
   const int n = static_cast<int>(state.range(0));

@@ -9,6 +9,7 @@
 #include "bench/harness.h"
 
 #include "core/pretrain.h"
+#include "nn/ops.h"
 #include "nn/optim.h"
 #include "serving/encoder_service.h"
 #include "tasks/preqr_encoder.h"
@@ -69,9 +70,13 @@ void Run() {
       auto tokenized = s.model->tokenizer().Tokenize(sql);
       if (!tokenized.ok()) continue;
       adam.ZeroGrad();
-      nn::Tensor prefix = s.model->EncodePrefix(tokenized.value(), schema);
-      auto enc = s.model->LastLayer(prefix, schema);
-      nn::Tensor logits = s.model->MlmLogits(enc.tokens);
+      const auto batch = text::SqlTokenizer::Collate(
+          {&tokenized.value()}, s.model->config().max_seq_len);
+      nn::Tensor prefix = s.model->EncodePrefixBatch(batch, schema);
+      nn::Tensor tokens = nn::SliceExample(
+          s.model->LastLayerBatch(prefix, schema, batch.lengths), 0,
+          batch.lengths[0]);
+      nn::Tensor logits = s.model->MlmLogits(tokens);
       std::vector<int> targets(tokenized.value().ids.begin(),
                                tokenized.value().ids.begin() + logits.dim(0));
       nn::CrossEntropy(logits, targets, -1).Backward();

@@ -7,7 +7,7 @@
 #   SKIP_POOL_DEBUG=1 scripts/check.sh  # skip the pool-poison stage
 #   SKIP_FUZZ=1 scripts/check.sh        # skip the sanitized fuzz stage
 #   SKIP_SERVE=1 scripts/check.sh       # skip the serving front-end stage
-#   SKIP_SIMD=1 scripts/check.sh        # skip the SIMD/quantization stage
+#   SKIP_SIMD=1 scripts/check.sh        # skip the SIMD/UBSan stage
 #   SKIP_PLAN=1 scripts/check.sh        # skip the planner/executor stage
 #
 # The TSAN stage rebuilds with -DSANITIZE=thread into build-tsan/ and runs
@@ -132,7 +132,7 @@ fi
 if [[ "${SKIP_SIMD:-0}" == "1" ]]; then
   echo "== SIMD stage skipped (SKIP_SIMD=1) =="
 else
-  echo "== SIMD: kernel dispatch parity under both impls + UBSan on the quant path =="
+  echo "== SIMD: kernel dispatch parity under both impls + UBSan on dispatch, deadline and histogram math =="
   # The kernel-parity suite under each forced impl: PREQR_KERNEL_IMPL must
   # actually steer dispatch, and the per-impl determinism contract must
   # hold whichever table is active. The encode suites re-run under the
@@ -140,8 +140,9 @@ else
   PREQR_KERNEL_IMPL=scalar ./build/tests/kernel_dispatch_test
   PREQR_KERNEL_IMPL=avx2 ./build/tests/kernel_dispatch_test
   PREQR_KERNEL_IMPL=scalar ./build/tests/nn_ops_grad_test
-  # UBSan over the int8 quantization path and the dispatch plumbing:
-  # rounding, packing, and the saturating deadline math must be UB-free.
+  # UBSan over the kernel dispatch plumbing plus the deadline and histogram
+  # math: the kernels, the saturating deadline arithmetic and the
+  # percentile bounds must be UB-free.
   cmake -B build-ubsan -S . -DSANITIZE=undefined >/dev/null
   cmake --build build-ubsan -j --target kernel_dispatch_test \
     --target serving_test --target fuzz_stress_test

@@ -261,36 +261,11 @@ Tensor PreqrModel::ForwardBatch(
   return h;  // [B, T, d]
 }
 
-Tensor PreqrModel::EncodePrefix(
-    const text::SqlTokenizer::Tokenized& tokenized,
-    const Tensor& schema_nodes_detached) {
-  // The prefix is frozen in the fine-tune-last-layer protocol, so the
-  // embedding + first L-1 layers always run tape-free; the result needs no
-  // copy-out-of-the-tape.
-  nn::NoGradGuard no_grad;
-  Tensor h = EmbedInput(tokenized, {});
-  const Tensor schema = config_.use_schema ? schema_nodes_detached : Tensor();
-  for (size_t l = 0; l + 1 < layers_.size(); ++l) {
-    h = layers_[l]->Forward(h, schema);
-  }
-  return h;
-}
-
-PreqrModel::Encoding PreqrModel::LastLayer(const Tensor& prefix_states,
-                                           const Tensor& schema_nodes) {
-  const Tensor schema = config_.use_schema ? schema_nodes : Tensor();
-  Tensor h = layers_.back()->Forward(prefix_states, schema);
-  Encoding enc;
-  enc.tokens = h;
-  enc.cls = nn::SliceRows(h, 0, 1);
-  return enc;
-}
-
 Tensor PreqrModel::EncodePrefixBatch(
     const text::SqlTokenizer::TokenizedBatch& batch,
     const Tensor& schema_nodes_detached) {
-  // Frozen prefix, same as EncodePrefix: the whole padded forward runs
-  // tape-free on pooled storage.
+  // The prefix is frozen in the fine-tune-last-layer protocol, so the
+  // whole padded forward runs tape-free on pooled storage.
   nn::NoGradGuard no_grad;
   Tensor h = EmbedInputBatch(batch, {});
   const Tensor schema = config_.use_schema ? schema_nodes_detached : Tensor();

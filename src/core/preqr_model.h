@@ -82,8 +82,8 @@ class PreqrModel : public nn::Module {
   // --- Batched forward ([B, T, d] padded execution) -----------------------
   // The batch must have been collated with max_len = config().max_seq_len.
   // Padding invariance: row i < batch.lengths[b] of every output is
-  // bitwise-identical to the same row of the single-query Forward /
-  // EncodePrefix on that example alone; pad rows are exactly zero.
+  // bitwise-identical to the same row of the single-query Forward on that
+  // example alone; pad rows are exactly zero.
   //
   // Full forward for the batched MLM step. `masked_ids[b]` (optional)
   // overrides example b's token ids; in train mode `dropout_seeds[b]`
@@ -95,19 +95,14 @@ class PreqrModel : public nn::Module {
                           const std::vector<uint64_t>& dropout_seeds = {});
 
   // --- Split forward (fine-tuning: frozen prefix + trainable last layer) --
-  // Runs embedding + the first L-1 layers without recording gradients.
-  nn::Tensor EncodePrefix(const text::SqlTokenizer::Tokenized& tokenized,
-                          const nn::Tensor& schema_nodes_detached);
-  // Batched counterpart: one tape-free padded forward for the whole batch.
-  // Returns [B, T, d]; slice per example with nn::SliceExample.
+  // Runs embedding + the first L-1 layers as one tape-free padded forward
+  // for the whole batch. Returns [B, T, d]; slice per example with
+  // nn::SliceExample. A single query is a batch of one.
   nn::Tensor EncodePrefixBatch(const text::SqlTokenizer::TokenizedBatch& batch,
                                const nn::Tensor& schema_nodes_detached);
-  // Runs the last Trm_g layer (with gradients into its parameters).
-  Encoding LastLayer(const nn::Tensor& prefix_states,
-                     const nn::Tensor& schema_nodes);
-  // Batched last layer over padded prefixes [B, T, d] (lengths[b] valid
-  // rows each). Gradients (train mode) flow into the layer's parameters
-  // exactly as LastLayer's would.
+  // Runs the last Trm_g layer over padded prefixes [B, T, d] (lengths[b]
+  // valid rows each). Gradients (train mode) flow into the layer's
+  // parameters exactly as through the last layer of the solo Forward.
   nn::Tensor LastLayerBatch(const nn::Tensor& prefix_states,
                             const nn::Tensor& schema_nodes,
                             const std::vector<int>& lengths);

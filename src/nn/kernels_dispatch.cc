@@ -27,7 +27,6 @@ const KernelTable kScalarTable = {
     &BatchedMatMulNNForward,
     &MaskedSoftmaxForward,
     &MaskedLayerNormForward,
-    &Int8GemmForward,
 };
 
 #if defined(PREQR_HAVE_AVX2)
@@ -45,7 +44,6 @@ const KernelTable kAvx2Table = {
     &avx2::BatchedMatMulNNForward,
     &avx2::MaskedSoftmaxForward,
     &avx2::MaskedLayerNormForward,
-    &avx2::Int8GemmForward,
 };
 #endif
 

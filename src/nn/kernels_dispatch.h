@@ -2,7 +2,6 @@
 #define PREQR_NN_KERNELS_DISPATCH_H_
 
 #include <cstddef>
-#include <cstdint>
 
 namespace preqr::nn::kernels {
 
@@ -31,8 +30,6 @@ namespace preqr::nn::kernels {
 //     *differ* from each other in float low bits (FMA contraction and a
 //     polynomial exp); mixed-impl comparisons get tolerances, same-impl
 //     comparisons stay memcmp-exact.
-//   * int8 GEMM — exact int32 accumulation; identical bits from every
-//     implementation.
 struct KernelTable {
   const char* name;
   void (*MatMulForward)(const float* a, const float* b, float* out, int m,
@@ -57,9 +54,6 @@ struct KernelTable {
                                  const float* beta, float eps, float* out,
                                  float* xhat, float* inv_std, int bsz, int t,
                                  int d, const int* lengths);
-  void (*Int8GemmForward)(const int8_t* aq, const float* a_scale,
-                          const int8_t* wt, float w_scale, float* out, int m,
-                          int k, int n);
 };
 
 // The two candidate tables. Avx2Table() is null when the backend was not

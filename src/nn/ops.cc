@@ -6,7 +6,6 @@
 
 #include "nn/kernels.h"
 #include "nn/kernels_dispatch.h"
-#include "nn/quant.h"
 
 // Tape-wiring layer: every op here (1) validates shapes, (2) calls its
 // compute kernel from nn/kernels.h, and (3) — only when grad mode is on
@@ -226,17 +225,6 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
   Shape shape = a.shape();
   shape[static_cast<size_t>(a.ndim() - 1)] = n;
   Tensor out = Tensor::Zeros(std::move(shape));
-  // Int8 fast path: inference-only (tape off), thread-opted-in via
-  // Int8Guard, and only for weights carrying a calibrated shadow whose
-  // shape still matches (a reloaded model swaps shadows atomically with
-  // the float data under the service's encode lock).
-  if (!GradMode::enabled() && quant::Int8Enabled()) {
-    const auto& qw = b.impl()->quant;
-    if (qw != nullptr && qw->k == k && qw->n == n) {
-      quant::Int8MatMulForward(a.data(), *qw, out.data(), m);
-      return out;
-    }
-  }
   kernels::Active().MatMulForward(a.data(), b.data(), out.data(), m, k, n);
   if (!NeedsTape(a, b)) return out;
   auto ai = a.impl(), bi = b.impl();

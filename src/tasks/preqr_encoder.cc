@@ -7,7 +7,6 @@
 
 #include "automaton/symbol.h"
 #include "nn/ops.h"
-#include "nn/quant.h"
 #include "serving/metrics.h"
 
 namespace preqr::tasks {
@@ -17,11 +16,7 @@ PreqrEncoder::PreqrEncoder(core::PreqrModel* model)
 
 PreqrEncoder::PreqrEncoder(core::PreqrModel* model, Options options)
     : model_(model),
-      use_int8_(options.use_int8),
       prefix_cache_(options.cache_capacity, options.cache_shards) {
-  // Calibrate before anything encodes: shadows are inert until a thread
-  // installs an Int8Guard, so the schema encoding below stays float.
-  if (use_int8_) nn::quant::CalibrateModule(*model_);
   if (model_->config().use_schema) {
     schema_ = model_->EncodeSchemaNodes(/*with_grad=*/false);
   }
@@ -38,22 +33,9 @@ void PreqrEncoder::InvalidateCache() {
   // after a weight change (further pre-training or a hot reload) that
   // cache is stale too — drop it alongside ours.
   model_->InvalidateSchemaCache();
-  // Re-quantize from the new float weights so the int8 shadows never serve
-  // stale values after a reload / further pre-training.
-  if (use_int8_) nn::quant::CalibrateModule(*model_);
   if (model_->config().use_schema) {
     schema_ = model_->EncodeSchemaNodes(/*with_grad=*/false);
   }
-}
-
-StatusOr<PreqrEncoder::CachedQuery> PreqrEncoder::Prefix(
-    const std::string& sql) {
-  if (auto hit = prefix_cache_.Get(sql)) return std::move(*hit);
-  CachedQuery entry;
-  Status status = ComputeQuery(sql, &entry);
-  if (!status.ok()) return status;
-  prefix_cache_.Put(sql, entry);
-  return entry;
 }
 
 PreqrEncoder::CachedQuery PreqrEncoder::ZeroEntry() const {
@@ -61,14 +43,6 @@ PreqrEncoder::CachedQuery PreqrEncoder::ZeroEntry() const {
   CachedQuery zero;
   zero.prefix = nn::Tensor::Zeros({1, model_->config().d_model});
   return zero;
-}
-
-Status PreqrEncoder::ComputeQuery(const std::string& sql, CachedQuery* out) {
-  auto tokenized = model_->tokenizer().Tokenize(sql);
-  if (!tokenized.ok()) return tokenized.status();
-  out->prefix = model_->EncodePrefix(tokenized.value(), schema_);
-  ExtractStructure(tokenized.value(), out->prefix.dim(0), out);
-  return Status::Ok();
 }
 
 void PreqrEncoder::ExtractStructure(
@@ -150,8 +124,8 @@ void PreqrEncoder::ComputeQueriesBatched(const std::vector<std::string>& sqls,
     for (int len : batch.lengths) valid_tokens += static_cast<uint64_t>(len);
     serving::RecordPaddedBatch(batch.batch_size, batch.t_max, valid_tokens);
     nn::Tensor prefixes = model_->EncodePrefixBatch(batch, schema_);
-    // Slice each example's valid rows back out (tape-free, like the
-    // single-query EncodePrefix results these replace bit for bit).
+    // Slice each example's valid rows back out (tape-free: the prefix is
+    // frozen).
     nn::NoGradGuard no_grad;
     for (size_t j = c0; j < c1; ++j) {
       CachedQuery& entry = (*computed)[valid[j]];
@@ -161,53 +135,6 @@ void PreqrEncoder::ComputeQueriesBatched(const std::vector<std::string>& sqls,
       ExtractStructure(*toks[valid[j]], len, &entry);
     }
   }
-}
-
-nn::Tensor PreqrEncoder::EncodeVector(const std::string& sql, bool train) {
-  auto result = TryEncodeVector(sql, train);
-  if (result.ok()) return std::move(result).value();
-  // Legacy fallback for the task loops: malformed queries read out zeros.
-  // No longer silent — counted process-wide, logged once per distinct error.
-  serving::RecordEncodeFallback(result.status().ToString());
-  std::optional<nn::NoGradGuard> no_grad;
-  std::optional<nn::quant::Int8Guard> int8;
-  if (!train) {
-    no_grad.emplace();
-    if (use_int8_) int8.emplace(true);
-  }
-  model_->set_train(train);
-  nn::Tensor v = ReadOut(ZeroEntry());
-  model_->set_train(false);
-  return v;
-}
-
-StatusOr<nn::Tensor> PreqrEncoder::TryEncodeVector(const std::string& sql,
-                                                   bool train) {
-  // Inference encodes never take gradients; only fine-tuning (train=true)
-  // needs the tape through the last layer's read-out.
-  std::optional<nn::NoGradGuard> no_grad;
-  std::optional<nn::quant::Int8Guard> int8;
-  if (!train) {
-    no_grad.emplace();
-    if (use_int8_) {
-      int8.emplace(true);
-      serving::RecordInt8Encode();
-    }
-  }
-  model_->set_train(train);
-  auto cached = Prefix(sql);
-  if (!cached.ok()) {
-    model_->set_train(false);
-    return cached.status();
-  }
-  nn::Tensor v = ReadOut(cached.value());
-  model_->set_train(false);
-  return v;
-}
-
-nn::Tensor PreqrEncoder::ReadOut(const CachedQuery& cached) {
-  auto enc = model_->LastLayer(cached.prefix, schema_);
-  return PoolReadOut(enc.tokens, cached);
 }
 
 nn::Tensor PreqrEncoder::PoolReadOut(const nn::Tensor& tokens,
@@ -243,17 +170,13 @@ nn::Tensor PreqrEncoder::PoolReadOut(const nn::Tensor& tokens,
   return nn::ConcatLastDim({cls, mean, span_mean, span_max, tabs});
 }
 
-std::vector<StatusOr<nn::Tensor>> PreqrEncoder::TryEncodeVectorBatch(
-    const std::vector<std::string>& sqls, bool train) {
-  // Inference batches opt the whole encode (frozen prefix computation and
-  // the read-out below) into the int8 path. The guard is thread-local and
-  // every op dispatches on this thread — kernels only fan *loops* out to
-  // the pool — so the switch cannot leak into unrelated work.
-  std::optional<nn::quant::Int8Guard> int8;
-  if (!train && use_int8_) {
-    int8.emplace(true);
-    serving::RecordInt8Encode();
-  }
+std::vector<Status> PreqrEncoder::Resolve(const std::vector<std::string>& sqls,
+                                          bool train, bool zero_fallback,
+                                          const ReadOutFn& emit) {
+  // Inference encodes never take gradients; only fine-tuning (train=true)
+  // needs the tape through the last layer and the read-out.
+  std::optional<nn::NoGradGuard> no_grad;
+  if (!train) no_grad.emplace();
   model_->set_train(train);
   const size_t n = sqls.size();
   // Serial cache probe; duplicate misses collapse onto one computation.
@@ -281,25 +204,34 @@ std::vector<StatusOr<nn::Tensor>> PreqrEncoder::TryEncodeVectorBatch(
   for (size_t m = 0; m < miss_sqls.size(); ++m) {
     if (miss_status[m].ok()) prefix_cache_.Put(miss_sqls[m], computed[m]);
   }
-  // Resolve each slot's entry: cache hit, freshly computed, or error.
+  // Resolve each slot's entry: cache hit, freshly computed, the zero
+  // fallback, or error.
+  const CachedQuery zero = ZeroEntry();
+  std::vector<Status> status(n, Status::Ok());
   std::vector<const CachedQuery*> entries(n, nullptr);
   std::vector<size_t> slots;
   slots.reserve(n);
   for (size_t i = 0; i < n; ++i) {
     if (hit[i]) {
       entries[i] = &*hit[i];
-    } else if (miss_status[static_cast<size_t>(miss_of[i])].ok()) {
+    } else if (const Status& s = miss_status[static_cast<size_t>(miss_of[i])];
+               s.ok()) {
       entries[i] = &computed[static_cast<size_t>(miss_of[i])];
+    } else {
+      status[i] = s;
+      if (zero_fallback) {
+        // Legacy fallback for the task loops: malformed queries read out
+        // zeros. No longer silent — counted, logged once per distinct error.
+        serving::RecordEncodeFallback(s.ToString());
+        entries[i] = &zero;
+      }
     }
     if (entries[i] != nullptr) slots.push_back(i);
   }
-  // Batched read-out: pad the resolved prefixes into [B, T, d] chunks, run
-  // the last Trm_g layer once per chunk, then slice and pool per slot. In
-  // train mode the tape runs through the padded pass, so last-layer
-  // parameter gradients match the per-query ReadOut sum.
-  std::vector<nn::Tensor> tensors(n);
-  std::optional<nn::NoGradGuard> no_grad;
-  if (!train) no_grad.emplace();
+  // Batched last layer: pad the resolved prefixes into [B, T, d] chunks, run
+  // the last Trm_g layer once per chunk, then hand each slot its sliced
+  // token states. In train mode the tape runs through the padded pass, so
+  // last-layer parameter gradients match the per-query solo forward.
   for (size_t c0 = 0; c0 < slots.size(); c0 += kMaxEncodeBatch) {
     const size_t c1 =
         std::min(slots.size(), c0 + static_cast<size_t>(kMaxEncodeBatch));
@@ -321,20 +253,31 @@ std::vector<StatusOr<nn::Tensor>> PreqrEncoder::TryEncodeVectorBatch(
     nn::Tensor padded = nn::PadExamples(prefixes);
     nn::Tensor out_batch = model_->LastLayerBatch(padded, schema_, lengths);
     for (size_t j = c0; j < c1; ++j) {
-      tensors[slots[j]] = PoolReadOut(
-          nn::SliceExample(out_batch, static_cast<int>(j - c0),
-                           lengths[j - c0]),
-          *entries[slots[j]]);
+      emit(slots[j],
+           nn::SliceExample(out_batch, static_cast<int>(j - c0),
+                            lengths[j - c0]),
+           *entries[slots[j]]);
     }
   }
   model_->set_train(false);
+  return status;
+}
+
+std::vector<StatusOr<nn::Tensor>> PreqrEncoder::TryEncodeVectorBatch(
+    const std::vector<std::string>& sqls, bool train) {
+  std::vector<nn::Tensor> readouts(sqls.size());
+  std::vector<Status> status =
+      Resolve(sqls, train, /*zero_fallback=*/false,
+              [&](size_t i, const nn::Tensor& tokens, const CachedQuery& q) {
+                readouts[i] = PoolReadOut(tokens, q);
+              });
   std::vector<StatusOr<nn::Tensor>> out;
-  out.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    if (tensors[i].defined()) {
-      out.push_back(std::move(tensors[i]));
+  out.reserve(sqls.size());
+  for (size_t i = 0; i < sqls.size(); ++i) {
+    if (status[i].ok()) {
+      out.push_back(std::move(readouts[i]));
     } else {
-      out.push_back(miss_status[static_cast<size_t>(miss_of[i])]);
+      out.push_back(std::move(status[i]));
     }
   }
   return out;
@@ -342,45 +285,28 @@ std::vector<StatusOr<nn::Tensor>> PreqrEncoder::TryEncodeVectorBatch(
 
 std::vector<nn::Tensor> PreqrEncoder::EncodeVectorBatch(
     const std::vector<std::string>& sqls, bool train) {
-  auto results = TryEncodeVectorBatch(sqls, train);
-  std::vector<nn::Tensor> out;
-  out.reserve(results.size());
-  for (auto& r : results) {
-    if (r.ok()) {
-      out.push_back(std::move(r).value());
-    } else {
-      serving::RecordEncodeFallback(r.status().ToString());
-      std::optional<nn::NoGradGuard> no_grad;
-      std::optional<nn::quant::Int8Guard> int8;
-      if (!train) {
-        no_grad.emplace();
-        if (use_int8_) int8.emplace(true);
-      }
-      model_->set_train(train);
-      out.push_back(ReadOut(ZeroEntry()));
-      model_->set_train(false);
-    }
-  }
+  std::vector<nn::Tensor> out(sqls.size());
+  Resolve(sqls, train, /*zero_fallback=*/true,
+          [&](size_t i, const nn::Tensor& tokens, const CachedQuery& q) {
+            out[i] = PoolReadOut(tokens, q);
+          });
   return out;
 }
 
+StatusOr<nn::Tensor> PreqrEncoder::TryEncodeVector(const std::string& sql,
+                                                   bool train) {
+  return std::move(TryEncodeVectorBatch({sql}, train)[0]);
+}
+
+nn::Tensor PreqrEncoder::EncodeVector(const std::string& sql, bool train) {
+  return std::move(EncodeVectorBatch({sql}, train)[0]);
+}
+
 nn::Tensor PreqrEncoder::EncodeSequence(const std::string& sql, bool train) {
-  std::optional<nn::NoGradGuard> no_grad;
-  std::optional<nn::quant::Int8Guard> int8;
-  if (!train) {
-    no_grad.emplace();
-    if (use_int8_) {
-      int8.emplace(true);
-      serving::RecordInt8Encode();
-    }
-  }
-  model_->set_train(train);
-  auto cached = Prefix(sql);
-  if (!cached.ok()) serving::RecordEncodeFallback(cached.status().ToString());
-  auto enc = model_->LastLayer(
-      cached.ok() ? cached.value().prefix : ZeroEntry().prefix, schema_);
-  model_->set_train(false);
-  return enc.tokens;  // [S, d]
+  nn::Tensor tokens;
+  Resolve({sql}, train, /*zero_fallback=*/true,
+          [&](size_t, const nn::Tensor& t, const CachedQuery&) { tokens = t; });
+  return tokens;  // [S, d]
 }
 
 std::vector<nn::Tensor> PreqrEncoder::TrainableParameters() {

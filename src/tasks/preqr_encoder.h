@@ -1,6 +1,7 @@
 #ifndef PREQR_TASKS_PREQR_ENCODER_H_
 #define PREQR_TASKS_PREQR_ENCODER_H_
 
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -18,6 +19,13 @@ namespace preqr::tasks {
 // size-bounded LRU (a frequent-query workload keeps re-visiting the same
 // statements, so a bounded cache captures the hits without growing with
 // the query log).
+//
+// Every entry point is a batch: the single-query ones (EncodeVector,
+// TryEncodeVector, EncodeSequence) are batches of one through the same
+// resolve — cache probe, padded EncodePrefixBatch for the misses, chunked
+// LastLayerBatch, then the read-out. The padded kernels partition per
+// example, so a batch of one carries exactly the bits of the solo
+// PreqrModel::Forward (pinned by batch_invariance_test).
 class PreqrEncoder : public baselines::QueryEncoder,
                      public baselines::SequenceEncoder {
  public:
@@ -25,12 +33,6 @@ class PreqrEncoder : public baselines::QueryEncoder,
     // Total frozen-prefix entries held across all shards.
     size_t cache_capacity = 4096;
     int cache_shards = 8;
-    // Run inference (train=false) encodes through the int8 quantized GEMM
-    // path: Linear weights get per-tensor symmetric int8 shadows at
-    // construction and on every InvalidateCache (i.e. after each model
-    // reload), activations quantize dynamically per row. Training and the
-    // one-time schema encoding stay float. See nn/quant.h.
-    bool use_int8 = false;
   };
 
   explicit PreqrEncoder(core::PreqrModel* model);
@@ -50,6 +52,8 @@ class PreqrEncoder : public baselines::QueryEncoder,
   // TryEncodeVector(sqls[i], train) at any batch composition — the batched
   // kernels partition per example, so neighbors (including malformed ones)
   // cannot change a query's bits (pinned by batch_invariance_test).
+  // EncodeVectorBatch substitutes the zero-prefix read-out for malformed
+  // queries, like EncodeVector.
   std::vector<StatusOr<nn::Tensor>> TryEncodeVectorBatch(
       const std::vector<std::string>& sqls, bool train) override;
   std::vector<nn::Tensor> EncodeVectorBatch(
@@ -63,8 +67,6 @@ class PreqrEncoder : public baselines::QueryEncoder,
   // The wrapped model (non-owned) — what AttachModel/RegisterTenant want
   // when this encoder backs a serving tenant.
   core::PreqrModel* model() const { return model_; }
-  // Whether inference encodes run through the int8 quantized GEMM path.
-  bool use_int8() const { return use_int8_; }
   void BeginStep(bool train) override;
 
   // Drops cached prefixes and re-encodes the frozen schema nodes (call
@@ -89,12 +91,6 @@ class PreqrEncoder : public baselines::QueryEncoder,
     std::vector<std::vector<int>> predicate_spans;
     std::vector<int> table_rows;
   };
-  // Cache-through lookup: returns the cached entry or computes + inserts
-  // it; malformed queries propagate the parse error.
-  StatusOr<CachedQuery> Prefix(const std::string& sql);
-  // Computes the frozen prefix + span structure for one query without
-  // touching the cache (safe to call from several threads at once).
-  Status ComputeQuery(const std::string& sql, CachedQuery* out);
   // Span/table structure from the automaton symbolization over the first
   // `s` (possibly clipped) token positions.
   static void ExtractStructure(const text::SqlTokenizer::Tokenized& tokenized,
@@ -105,15 +101,23 @@ class PreqrEncoder : public baselines::QueryEncoder,
   void ComputeQueriesBatched(const std::vector<std::string>& sqls,
                              std::vector<CachedQuery>* computed,
                              std::vector<Status>* status);
-  // The structured read-out over one cached query (no set_train calls).
-  nn::Tensor ReadOut(const CachedQuery& cached);
-  // Pooling half of ReadOut, over already-computed final token states.
+  // Receives slot i's final token states [S_i, d] and its cached entry.
+  using ReadOutFn = std::function<void(size_t i, const nn::Tensor& tokens,
+                                       const CachedQuery& cached)>;
+  // The one encode path behind every entry point: cache probe, batched
+  // prefixes for the distinct misses, then the last layer over padded
+  // chunks of the resolved prefixes, calling `emit` per resolved slot
+  // (under the grad mode `train` selects). Returns each slot's status; with
+  // `zero_fallback` a malformed query is still emitted, over ZeroEntry().
+  std::vector<Status> Resolve(const std::vector<std::string>& sqls,
+                              bool train, bool zero_fallback,
+                              const ReadOutFn& emit);
+  // The structured read-out over one query's final token states.
   nn::Tensor PoolReadOut(const nn::Tensor& tokens, const CachedQuery& cached);
   // Zero-row entry used by the legacy fallback for malformed queries.
   CachedQuery ZeroEntry() const;
 
   core::PreqrModel* model_;
-  bool use_int8_ = false;
   nn::Tensor schema_;  // detached schema node encodings
   ShardedLruCache<std::string, CachedQuery> prefix_cache_;
 };

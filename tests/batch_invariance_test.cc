@@ -226,6 +226,70 @@ TEST(BatchInvarianceTest, TrainModeReadOutBitwiseMatchesSingle) {
   }
 }
 
+// Every PreqrEncoder entry point is a batch of one, so the encoder-level
+// tests above compare a batch against a batch. This pin ties the encoder to
+// the independent solo reference, PreqrModel::Forward, bit for bit: the
+// token states of EncodeSequence, and the last-layer parameter gradients of
+// a fine-tuning read-out (the [CLS ; mean] head of the read-out, which the
+// reference rebuilds from its own token states with the same ops).
+TEST(BatchInvarianceTest, EncoderMatchesSoloForwardReference) {
+  PreqrModel model = E().MakeModel();
+  model.set_train(false);
+  const nn::Tensor schema = model.EncodeSchemaNodes(/*with_grad=*/false);
+  std::vector<std::string> sqls(E().corpus.begin(), E().corpus.begin() + 5);
+  std::string longest;
+  size_t max_len = 0;
+  for (const auto& sql : E().corpus) {
+    auto t = model.tokenizer().Tokenize(sql);
+    ASSERT_TRUE(t.ok());
+    if (t.value().ids.size() > max_len) {
+      max_len = t.value().ids.size();
+      longest = sql;
+    }
+  }
+  sqls.push_back(longest);
+
+  const int d = model.config().d_model;
+  Rng rng(5);
+  const nn::Tensor head_weights = nn::Tensor::Randn({1, 2 * d}, rng, 1.0f);
+  const auto params = model.LastLayerParameters();
+  auto last_layer_grads = [&](const nn::Tensor& head) {
+    for (auto p : params) p.ZeroGrad();
+    nn::Sum(nn::Mul(head, head_weights)).Backward();
+    std::vector<std::vector<float>> grads;
+    for (const auto& p : params) grads.push_back(p.grad_vec());
+    return grads;
+  };
+
+  tasks::PreqrEncoder encoder(&model);
+  for (const auto& sql : sqls) {
+    auto tokenized = model.tokenizer().Tokenize(sql);
+    ASSERT_TRUE(tokenized.ok());
+    {
+      nn::NoGradGuard no_grad;
+      auto reference = model.Forward(tokenized.value(), schema);
+      ExpectBitwiseEqual(reference.tokens.vec(),
+                         encoder.EncodeSequence(sql, /*train=*/false).vec(),
+                         "EncodeSequence vs solo Forward");
+    }
+    // Tape on, eval mode: the solo reference's gradients...
+    auto reference = model.Forward(tokenized.value(), schema);
+    const nn::Tensor& tokens = reference.tokens;
+    const auto want = last_layer_grads(nn::ConcatLastDim(
+        {nn::SliceRows(tokens, 0, 1),
+         nn::Reshape(nn::MeanRows(tokens), {1, d})}));
+    // ...against the encoder's fine-tuning read-out.
+    auto readout = encoder.TryEncodeVector(sql, /*train=*/true);
+    ASSERT_TRUE(readout.ok());
+    const auto got =
+        last_layer_grads(nn::SliceLastDim(readout.value(), 0, 2 * d));
+    ASSERT_EQ(want.size(), got.size());
+    for (size_t i = 0; i < want.size(); ++i) {
+      ExpectBitwiseEqual(want[i], got[i], "last-layer gradient");
+    }
+  }
+}
+
 // The padded-batch shape metrics feed the serving dashboards; a batched
 // encode must record its occupancy.
 TEST(BatchInvarianceTest, PaddedBatchMetricsRecorded) {

@@ -1,8 +1,11 @@
+#include <cstring>
+
 #include <gtest/gtest.h>
 
 #include "automaton/template_extractor.h"
 #include "core/pretrain.h"
 #include "db/stats.h"
+#include "nn/ops.h"
 #include "nn/serialize.h"
 #include "schema/schema_graph.h"
 #include "tasks/preqr_encoder.h"
@@ -91,6 +94,8 @@ TEST(PreqrModelTest, AblationFlagsChangeOutputs) {
   (void)no_auto;
 }
 
+// The fine-tuning split (frozen prefix + last layer), run as a batch of
+// one, carries exactly the bits of the solo full forward.
 TEST(PreqrModelTest, PrefixPlusLastLayerMatchesFullForward) {
   PreqrModel model = E().MakeModel();
   model.set_train(false);
@@ -98,12 +103,16 @@ TEST(PreqrModelTest, PrefixPlusLastLayerMatchesFullForward) {
   ASSERT_TRUE(tokenized.ok());
   nn::Tensor schema = model.EncodeSchemaNodes(false);
   auto full = model.Forward(tokenized.value(), schema);
-  nn::Tensor prefix = model.EncodePrefix(tokenized.value(), schema);
-  auto split = model.LastLayer(prefix, schema);
-  ASSERT_EQ(full.tokens.size(), split.tokens.size());
-  for (nn::Index i = 0; i < full.tokens.size(); ++i) {
-    EXPECT_NEAR(full.tokens.at(i), split.tokens.at(i), 1e-4f);
-  }
+  const auto batch = text::SqlTokenizer::Collate({&tokenized.value()},
+                                                 model.config().max_seq_len);
+  nn::Tensor prefix = model.EncodePrefixBatch(batch, schema);
+  nn::Tensor split = nn::SliceExample(
+      model.LastLayerBatch(prefix, schema, batch.lengths), 0,
+      batch.lengths[0]);
+  ASSERT_EQ(full.tokens.shape(), split.shape());
+  EXPECT_EQ(std::memcmp(full.tokens.data(), split.data(),
+                        full.tokens.vec().size() * sizeof(float)),
+            0);
 }
 
 TEST(PreqrModelTest, ParameterGroupsDisjoint) {

@@ -4,6 +4,7 @@
 #include "automaton/template_extractor.h"
 #include "core/pretrain.h"
 #include "db/stats.h"
+#include "nn/ops.h"
 #include "nn/optim.h"
 #include "schema/schema_graph.h"
 #include "workload/imdb.h"
@@ -53,9 +54,13 @@ TEST(ModelUpdateTest, Case1LastLayerIncrementalTraining) {
   nn::Tensor schema = model.EncodeSchemaNodes(false);
   auto loss_of = [&](const std::string& sql) {
     auto tokenized = env.tokenizer->Tokenize(sql);
-    nn::Tensor prefix = model.EncodePrefix(tokenized.value(), schema);
-    auto enc = model.LastLayer(prefix, schema);
-    nn::Tensor logits = model.MlmLogits(enc.tokens);
+    const auto batch = text::SqlTokenizer::Collate(
+        {&tokenized.value()}, model.config().max_seq_len);
+    nn::Tensor prefix = model.EncodePrefixBatch(batch, schema);
+    nn::Tensor tokens = nn::SliceExample(
+        model.LastLayerBatch(prefix, schema, batch.lengths), 0,
+        batch.lengths[0]);
+    nn::Tensor logits = model.MlmLogits(tokens);
     std::vector<int> targets(tokenized.value().ids.begin(),
                              tokenized.value().ids.begin() + logits.dim(0));
     return nn::CrossEntropy(logits, targets, -1);

@@ -5,6 +5,7 @@
 // directly: PREQR_PROPERTY_SEEDS=12345 ./property_test
 #include <functional>
 #include <map>
+#include <ostream>
 #include <set>
 
 #include <gtest/gtest.h>
@@ -222,6 +223,11 @@ struct GradCase {
   int dim;
   int seq;
 };
+
+// Print a case by its name so the test's listed (and CTest-discovered) name
+// is stable; the default byte dump includes the string literal's address,
+// which changes with every process under ASLR.
+void PrintTo(const GradCase& c, std::ostream* os) { *os << c.name; }
 
 class ModuleGradSweep : public testing::TestWithParam<GradCase> {};
 
