@@ -143,7 +143,6 @@ int main() {
   service_options.per_client_quota = static_cast<size_t>(ring_capacity);
   service_options.batch_window = std::chrono::microseconds(200);
   preqr::serving::EncoderService service(service_options);
-  preqr::serving::TenantRegistry registry(&service);
   std::vector<std::string> tenant_ids;
   for (long t = 0; t < tenants; ++t) {
     preqr::serving::TenantContext::Options tenant_options;
@@ -162,7 +161,10 @@ int main() {
     const std::string id = "t" + std::to_string(t);
     std::shared_ptr<preqr::serving::TenantContext> shared(
         std::move(context.value()));
-    auto registered = registry.Register(id, shared);
+    // The service owns the context from here on: it lives until the last
+    // reference to the tenant is gone.
+    auto registered = service.RegisterTenant(id, shared->encoder(),
+                                             shared->model(), shared);
     if (!registered.ok()) {
       std::fprintf(stderr, "tenant register failed: %s\n",
                    registered.ToString().c_str());

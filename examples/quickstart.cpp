@@ -88,8 +88,8 @@ int main() {
   auto cold = service.Encode(request);  // cache miss: full encode
   auto warm = service.Encode(request);  // cache hit: LRU lookup + copy
   PREQR_CHECK(cold.ok() && warm.ok());
-  std::printf("\nserving: %s dim=%d, %zu cached embedding(s)\n",
-              service.name().c_str(), service.dim(),
+  std::printf("\nserving: serving(%s) dim=%d, %zu cached embedding(s)\n",
+              encoder.name().c_str(), encoder.dim(),
               service.cached_embeddings());
   std::printf("serving q1 twice: miss cache_hit=%d, then hit cache_hit=%d\n",
               cold.value().cache_hit ? 1 : 0, warm.value().cache_hit ? 1 : 0);

@@ -19,6 +19,15 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+echo "== layering: no file outside src/serving/ includes serving/ headers =="
+# Serving sits at the top of the library stack; a lower layer that reaches
+# up into it recreates the tasks -> serving link cycle.
+if grep -rnE '^[[:space:]]*#[[:space:]]*include[[:space:]]*"serving/' src \
+    --exclude-dir=serving; then
+  echo "layering violation: the files listed above include serving/ headers" >&2
+  exit 1
+fi
+
 echo "== tier-1: configure + build + ctest =="
 cmake -B build -S . >/dev/null
 cmake --build build -j
@@ -82,11 +91,12 @@ if [[ "${SKIP_SERVE:-0}" == "1" ]]; then
   echo "== SERVE stage skipped (SKIP_SERVE=1) =="
 else
   echo "== SERVE: request API + tenancy + loopback server + mini load sweep under TSan =="
-  # The serving API drills (deadlines, shedding, drain), the multi-tenant
-  # suite (registry lifecycle, isolation, per-tenant reload/deregister) and
-  # the live-socket wire tests under TSan, then a short multi-tenant
-  # closed-loop sweep against a real loopback server — ending with a schema
-  # check of the emitted JSON, per-tenant rows included.
+  # The serving API drills (deadlines, shedding, drain, tenant-owner
+  # lifetime), the multi-tenant suite (tenant lifecycle, isolation,
+  # per-tenant reload/deregister) and the live-socket wire tests under
+  # TSan, then a short multi-tenant closed-loop sweep against a real
+  # loopback server — ending with a schema check of the emitted JSON,
+  # per-tenant rows included.
   cmake -B build-tsan -S . -DSANITIZE=thread >/dev/null
   cmake --build build-tsan -j --target serving_api_test \
     --target tenant_test --target server_test --target bench_serving_load

@@ -50,15 +50,14 @@ ThreadPool::~ThreadPool() {
     stop_ = true;
   }
   cv_.notify_all();
+  // Workers exit only once the queue is empty, so no task is left behind.
   for (auto& w : workers_) w.join();
-  // Drain tasks that never ran so their futures do not block forever.
-  for (auto& t : queue_) t();
 }
 
 void ThreadPool::WorkerLoop() {
   tls_in_pool_work = true;
   for (;;) {
-    std::packaged_task<void()> task;
+    std::function<void()> task;
     {
       std::unique_lock<std::mutex> lock(mu_);
       cv_.wait(lock, [this] { return stop_ || !queue_.empty(); });
@@ -66,23 +65,8 @@ void ThreadPool::WorkerLoop() {
       task = std::move(queue_.front());
       queue_.pop_front();
     }
-    task();  // packaged_task captures exceptions into the future
+    task();  // ParallelFor's helpers catch their chunks' exceptions
   }
-}
-
-std::future<void> ThreadPool::Submit(std::function<void()> task) {
-  std::packaged_task<void()> packaged(std::move(task));
-  std::future<void> future = packaged.get_future();
-  if (workers_.empty()) {
-    packaged();
-    return future;
-  }
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    queue_.push_back(std::move(packaged));
-  }
-  cv_.notify_one();
-  return future;
 }
 
 void ThreadPool::ParallelFor(int64_t begin, int64_t end, int64_t grain,

@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <future>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -39,10 +38,6 @@ class ThreadPool {
 
   int num_threads() const { return static_cast<int>(workers_.size()) + 1; }
 
-  // Runs `task` on a worker thread (or inline when the pool is size 1).
-  // The future rethrows any exception the task raised.
-  std::future<void> Submit(std::function<void()> task);
-
   // Splits [begin, end) into chunks of at most `grain` indices and runs
   // `fn(chunk_begin, chunk_end)` across the pool. Blocks until every chunk
   // finished; rethrows the first exception raised by any chunk.
@@ -65,7 +60,7 @@ class ThreadPool {
   void WorkerLoop();
 
   std::vector<std::thread> workers_;
-  std::deque<std::packaged_task<void()>> queue_;
+  std::deque<std::function<void()>> queue_;
   std::mutex mu_;
   std::condition_variable cv_;
   bool stop_ = false;

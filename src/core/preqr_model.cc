@@ -288,13 +288,20 @@ Result<PreqrModel::Encoding> PreqrModel::Encode(const std::string& sql) {
   if (!cached_schema_.defined() && config_.use_schema) {
     cached_schema_ = EncodeSchemaNodes(/*with_grad=*/false);
   }
+  // A single query is a batch of one: its valid rows are bitwise the solo
+  // Forward's (pinned by batch_invariance_test).
+  const auto batch = text::SqlTokenizer::Collate(
+      std::vector<const text::SqlTokenizer::Tokenized*>{&tokenized.value()},
+      config_.max_seq_len);
   const bool was_training = train_mode();
   set_train(false);
   Encoding enc;
   {
     // Inference: no tape, pooled intermediates; outputs are born detached.
     nn::NoGradGuard no_grad;
-    enc = Forward(tokenized.value(), cached_schema_);
+    enc.tokens = nn::SliceExample(ForwardBatch(batch, cached_schema_), 0,
+                                  batch.lengths[0]);
+    enc.cls = nn::SliceRows(enc.tokens, 0, 1);
   }
   set_train(was_training);
   return enc;

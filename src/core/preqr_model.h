@@ -107,7 +107,8 @@ class PreqrModel : public nn::Module {
                             const nn::Tensor& schema_nodes,
                             const std::vector<int>& lengths);
 
-  // Convenience: tokenize + encode with a cached no-grad schema encoding.
+  // Convenience: tokenize + encode with a cached no-grad schema encoding,
+  // as a ForwardBatch of one.
   Result<Encoding> Encode(const std::string& sql);
 
   // Invalidate the cached inference schema encoding (after training steps).

@@ -8,10 +8,6 @@ namespace preqr::db {
 
 using sql::SelectStatement;
 
-bool Executor::LikeMatch(const std::string& text, const std::string& pattern) {
-  return db::LikeMatch(text, pattern);
-}
-
 Result<BoundQuery> Executor::Bind(const SelectStatement& stmt) const {
   if (stmt.union_next) {
     return Status::InvalidArgument(

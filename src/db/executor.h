@@ -41,9 +41,6 @@ class Executor {
                                            const std::vector<int>& order,
                                            const CostModel& cm = {}) const;
 
-  // True if the pattern (SQL LIKE with % and _) matches the text.
-  static bool LikeMatch(const std::string& text, const std::string& pattern);
-
  private:
   const Database& db_;
 };

@@ -35,6 +35,10 @@ Status UnknownTenant(const std::string& tenant_id) {
   return Status::NotFound("unknown tenant '" + tenant_id + "'");
 }
 
+Status Deregistering(const std::string& tenant_id) {
+  return Status::NotFound("tenant '" + tenant_id + "' is deregistering");
+}
+
 }  // namespace
 
 EncoderService::EncoderService(EncoderServiceOptions options)
@@ -70,14 +74,15 @@ EncoderService::~EncoderService() {
 
 Status EncoderService::RegisterTenant(const std::string& tenant_id,
                                       baselines::QueryEncoder* encoder,
-                                      nn::Module* model) {
+                                      nn::Module* model,
+                                      std::shared_ptr<const void> owner) {
   if (encoder == nullptr) {
     return Status::InvalidArgument("RegisterTenant requires an encoder");
   }
-  // The metrics block is created outside tenants_mu_ (it has its own lock);
-  // create-on-demand makes a lost race here harmless.
-  auto tenant_metrics = metrics_.Tenant(tenant_id);
   {
+    // The metrics block is created (and, on deregistration, dropped) under
+    // tenants_mu_ with the map entry, so a re-registration racing a
+    // deregistration never picks up the departing tenant's block.
     std::lock_guard<std::mutex> lock(tenants_mu_);
     if (tenants_.count(tenant_id) > 0) {
       return Status::InvalidArgument("tenant '" + tenant_id +
@@ -85,8 +90,8 @@ Status EncoderService::RegisterTenant(const std::string& tenant_id,
     }
     tenants_.emplace(tenant_id,
                      std::make_shared<Tenant>(tenant_id, encoder, model,
-                                              options_,
-                                              std::move(tenant_metrics)));
+                                              std::move(owner), options_,
+                                              metrics_.Tenant(tenant_id)));
   }
   metrics_.tenant_registrations.Increment();
   return Status::Ok();
@@ -105,8 +110,8 @@ Status EncoderService::DeregisterTenant(const std::string& tenant_id) {
       return Status::InvalidArgument("tenant '" + tenant_id +
                                      "' is already deregistering");
     }
-    // From here on AdmitOrResolve and the sync EncodeBatch refuse new work
-    // for this tenant with kNotFound; everything already admitted drains.
+    // From here on AdmitOrResolve and BeginCall refuse new work for this
+    // tenant with kNotFound; everything already admitted drains.
     tenant->closing = true;
     lock.unlock();
     // Wake admissions parked behind a reload drain so they observe
@@ -123,15 +128,16 @@ Status EncoderService::DeregisterTenant(const std::string& tenant_id) {
     // Belt and braces: inflight == 0 already guarantees no encoder call is
     // running, but taking the mutex makes the hand-off explicit.
     std::lock_guard<std::mutex> lock(tenant->encode_mu);
-    metrics_.invalidated_embeddings.Increment(tenant->cache.size());
-    tenant->cache.Clear();
+    DropCache(*tenant);
   }
   {
+    // The owner goes with the last TenantPtr: this map entry, or a caller
+    // that looked the tenant up before the drain and has yet to return.
     std::lock_guard<std::mutex> lock(tenants_mu_);
     tenants_.erase(tenant_id);
+    metrics_.DropTenant(tenant_id);
   }
   metrics_.tenant_deregistrations.Increment();
-  metrics_.DropTenant(tenant_id);
   queue_cv_.notify_all();
   return Status::Ok();
 }
@@ -155,17 +161,6 @@ EncoderService::TenantPtr EncoderService::FindTenant(
   return it == tenants_.end() ? nullptr : it->second;
 }
 
-int EncoderService::dim() const {
-  TenantPtr tenant = FindTenant(kDefaultTenantId);
-  return tenant == nullptr ? 0 : tenant->encoder->dim();
-}
-
-std::string EncoderService::name() const {
-  TenantPtr tenant = FindTenant(kDefaultTenantId);
-  return tenant == nullptr ? "serving(multi-tenant)"
-                           : "serving(" + tenant->encoder->name() + ")";
-}
-
 size_t EncoderService::cached_embeddings() const {
   std::lock_guard<std::mutex> lock(tenants_mu_);
   size_t total = 0;
@@ -183,41 +178,62 @@ size_t EncoderService::queue_depth() const {
   return ring_.size();
 }
 
-std::optional<StatusOr<EncodeResponse>> EncoderService::AdmitOrResolve(
-    EncodeRequest&& request, std::future<StatusOr<EncodeResponse>>* future) {
-  metrics_.requests.Increment();
-  const auto t0 = Clock::now();
+StatusOr<EncoderService::Admitted> EncoderService::Admit(
+    const EncodeRequest& request, Clock::time_point now, Routes* routes) {
   // A dead-on-arrival deadline never touches the cache or the ring: the
   // caller has already given up, the cheapest correct answer is "no".
-  if (request.deadline <= t0) {
+  if (request.deadline <= now) {
     metrics_.deadline_rejected.Increment();
     return Status::DeadlineExceeded("deadline expired before admission");
   }
   // Tenant routing comes before the cache probe: an unknown tenant id has
   // no cache partition to probe, and must not perturb hit/miss counters.
-  TenantPtr tenant = FindTenant(request.tenant_id);
+  Admitted admitted;
+  if (routes == nullptr) {
+    admitted.tenant = FindTenant(request.tenant_id);
+  } else {
+    auto [it, inserted] = routes->try_emplace(request.tenant_id);
+    if (inserted) it->second = FindTenant(request.tenant_id);
+    admitted.tenant = it->second;
+  }
+  Tenant* tenant = admitted.tenant.get();
   if (tenant == nullptr) {
     metrics_.tenant_not_found.Increment();
     return UnknownTenant(request.tenant_id);
   }
   tenant->metrics->requests.Increment();
-  if (auto hit = tenant->cache.Get(request.sql)) {
+  admitted.hit = tenant->cache.Get(request.sql);
+  if (admitted.hit) {
     metrics_.cache_hits.Increment();
     tenant->metrics->cache_hits.Increment();
+  } else {
+    metrics_.cache_misses.Increment();
+    tenant->metrics->cache_misses.Increment();
+  }
+  return admitted;
+}
+
+std::optional<StatusOr<EncodeResponse>> EncoderService::AdmitOrResolve(
+    const EncodeRequest& request,
+    std::future<StatusOr<EncodeResponse>>* future) {
+  metrics_.requests.Increment();
+  const auto t0 = Clock::now();
+  StatusOr<Admitted> admitted = Admit(request, t0, /*routes=*/nullptr);
+  if (!admitted.ok()) return admitted.status();
+  const TenantPtr& tenant = admitted.value().tenant;
+  if (admitted.value().hit) {
     EncodeResponse response;
-    response.embedding = DetachedCopy(*hit);
+    response.embedding = DetachedCopy(*admitted.value().hit);
     response.tenant_id = tenant->id;
     response.cache_hit = true;
     metrics_.hit_latency_us.Observe(ElapsedUs(t0));
     return StatusOr<EncodeResponse>(std::move(response));
   }
-  metrics_.cache_misses.Increment();
-  tenant->metrics->cache_misses.Increment();
   auto pending = std::make_shared<Pending>();
-  pending->sql = std::move(request.sql);
+  pending->sql = request.sql;
   pending->tenant = tenant;
   pending->deadline = request.deadline;
-  pending->client_id = std::move(request.client_id);
+  pending->client_id = request.client_id;
   *future = pending->promise.get_future();
   {
     std::unique_lock<std::mutex> lock(queue_mu_);
@@ -244,8 +260,7 @@ std::optional<StatusOr<EncodeResponse>> EncoderService::AdmitOrResolve(
     if (tenant->closing) {
       // Deregistration in progress: admitted work drains, new work is
       // refused exactly as if the tenant were already gone.
-      return Status::NotFound("tenant '" + tenant->id +
-                              "' is deregistering");
+      return Deregistering(tenant->id);
     }
     // Admission control, cheapest check first. Every rejection is
     // kResourceExhausted — distinguishable from malformed SQL (kParseError
@@ -281,17 +296,16 @@ std::optional<StatusOr<EncodeResponse>> EncoderService::AdmitOrResolve(
 
 StatusOr<EncodeResponse> EncoderService::Encode(const EncodeRequest& request) {
   std::future<StatusOr<EncodeResponse>> future;
-  EncodeRequest copy = request;
-  if (auto resolved = AdmitOrResolve(std::move(copy), &future)) {
+  if (auto resolved = AdmitOrResolve(request, &future)) {
     return *std::move(resolved);
   }
   return future.get();
 }
 
 std::future<StatusOr<EncodeResponse>> EncoderService::Submit(
-    EncodeRequest request) {
+    const EncodeRequest& request) {
   std::future<StatusOr<EncodeResponse>> future;
-  if (auto resolved = AdmitOrResolve(std::move(request), &future)) {
+  if (auto resolved = AdmitOrResolve(request, &future)) {
     std::promise<StatusOr<EncodeResponse>> ready;
     ready.set_value(*std::move(resolved));
     return ready.get_future();
@@ -415,14 +429,10 @@ void EncoderService::DispatchLoop() {
         response.encode_us = encode_us;
         batch[i]->promise.set_value(std::move(response));
       }
-      {
-        std::lock_guard<std::mutex> lock(queue_mu_);
-        --tenant->inflight;
-      }
       // Per-tenant drains watch inflight; wake them after every group, not
       // only at the end of the pop, so a reload of tenant A is not held
       // hostage by tenant B's longer batch.
-      queue_cv_.notify_all();
+      EndCall(*tenant);
     }
   }
 }
@@ -457,8 +467,8 @@ std::vector<StatusOr<EncodeResponse>> EncoderService::EncodeBatch(
   metrics_.requests.Increment(requests.size());
   const auto t0 = Clock::now();
   const size_t n = requests.size();
-  // Expired/unroutable slots fail up front; live hits resolve locally; the
-  // distinct live misses form one encoder batch per tenant.
+  // Rejected slots fail up front; live hits resolve locally; the distinct
+  // live misses form one encoder batch per tenant.
   struct TenantGroup {
     TenantPtr tenant;
     std::vector<std::string> sqls;
@@ -469,41 +479,26 @@ std::vector<StatusOr<EncodeResponse>> EncoderService::EncodeBatch(
     std::optional<Status> refused;
   };
   std::vector<TenantGroup> groups;
-  std::unordered_map<std::string, size_t> group_of_tenant;
-  std::vector<std::optional<Status>> failed(n);
-  std::vector<std::optional<nn::Tensor>> hit(n);
-  std::vector<std::string> slot_tenant(n);
+  std::unordered_map<const Tenant*, size_t> group_of_tenant;
+  Routes routes;
+  std::vector<StatusOr<Admitted>> slots;
+  slots.reserve(n);
   std::vector<int> group_of(n, -1);
   std::vector<int> miss_of(n, -1);
   for (size_t i = 0; i < n; ++i) {
-    if (requests[i].deadline <= t0) {
-      metrics_.deadline_rejected.Increment();
-      failed[i] = Status::DeadlineExceeded("deadline expired before admission");
-      continue;
-    }
-    // Tenant routing before the cache probe, exactly as in AdmitOrResolve.
+    slots.push_back(Admit(requests[i], t0, &routes));
+    if (!slots[i].ok()) continue;
+    const Admitted& admitted = slots[i].value();
+    // Groups follow each tenant's first admitted slot, so tenants encode
+    // in request order.
     auto [git, ginserted] =
-        group_of_tenant.try_emplace(requests[i].tenant_id, groups.size());
+        group_of_tenant.try_emplace(admitted.tenant.get(), groups.size());
     if (ginserted) {
       groups.push_back(TenantGroup{});
-      groups.back().tenant = FindTenant(requests[i].tenant_id);
+      groups.back().tenant = admitted.tenant;
     }
+    if (admitted.hit) continue;
     TenantGroup& group = groups[git->second];
-    if (group.tenant == nullptr) {
-      metrics_.tenant_not_found.Increment();
-      failed[i] = UnknownTenant(requests[i].tenant_id);
-      continue;
-    }
-    group.tenant->metrics->requests.Increment();
-    slot_tenant[i] = group.tenant->id;
-    if (auto h = group.tenant->cache.Get(requests[i].sql)) {
-      metrics_.cache_hits.Increment();
-      group.tenant->metrics->cache_hits.Increment();
-      hit[i] = std::move(h);
-      continue;
-    }
-    metrics_.cache_misses.Increment();
-    group.tenant->metrics->cache_misses.Increment();
     auto [it, inserted] = group.index.emplace(
         requests[i].sql, static_cast<int>(group.sqls.size()));
     if (inserted) group.sqls.push_back(requests[i].sql);
@@ -512,32 +507,19 @@ std::vector<StatusOr<EncodeResponse>> EncoderService::EncodeBatch(
   }
   bool encoded_any = false;
   for (auto& group : groups) {
-    if (group.tenant == nullptr || group.sqls.empty()) continue;
-    {
-      // The sync path bypasses the ring but not the drain accounting: a
-      // per-tenant deregistration must be able to wait this batch out, and
-      // must refuse batches that arrive after it started closing.
-      std::lock_guard<std::mutex> lock(queue_mu_);
-      if (stopping_) {
-        group.refused =
-            Status::Unavailable("encoder service is shutting down");
-        continue;
-      }
-      if (group.tenant->closing) {
-        group.refused = Status::NotFound("tenant '" + group.tenant->id +
-                                         "' is deregistering");
-        continue;
-      }
-      ++group.tenant->inflight;
+    if (group.sqls.empty()) continue;
+    // The sync path bypasses the ring but not the drain accounting: a
+    // per-tenant deregistration must be able to wait this batch out, and
+    // must refuse batches that arrive after it started closing.
+    Status entered = BeginCall(*group.tenant);
+    if (!entered.ok()) {
+      group.refused = std::move(entered);
+      continue;
     }
     const auto encode_t0 = Clock::now();
     group.results = EncodeLocked(*group.tenant, group.sqls);
     group.encode_us = ElapsedUs(encode_t0);
-    {
-      std::lock_guard<std::mutex> lock(queue_mu_);
-      --group.tenant->inflight;
-    }
-    queue_cv_.notify_all();
+    EndCall(*group.tenant);
     encoded_any = true;
     metrics_.batches.Increment();
     metrics_.batch_size.Observe(static_cast<double>(group.sqls.size()));
@@ -546,14 +528,15 @@ std::vector<StatusOr<EncodeResponse>> EncoderService::EncodeBatch(
   std::vector<StatusOr<EncodeResponse>> out;
   out.reserve(n);
   for (size_t i = 0; i < n; ++i) {
-    if (failed[i]) {
-      out.push_back(*failed[i]);
+    if (!slots[i].ok()) {
+      out.push_back(slots[i].status());
       continue;
     }
+    const Admitted& admitted = slots[i].value();
     EncodeResponse response;
-    response.tenant_id = slot_tenant[i];
-    if (hit[i]) {
-      response.embedding = DetachedCopy(*hit[i]);
+    response.tenant_id = admitted.tenant->id;
+    if (admitted.hit) {
+      response.embedding = DetachedCopy(*admitted.hit);
       response.cache_hit = true;
       out.push_back(std::move(response));
       continue;
@@ -600,26 +583,48 @@ std::vector<StatusOr<nn::Tensor>> EncoderService::EncodeBatch(
   return out;
 }
 
-void EncoderService::AttachModel(nn::Module* model) {
-  TenantPtr tenant = FindTenant(kDefaultTenantId);
-  PREQR_CHECK(tenant != nullptr);
-  std::lock_guard<std::mutex> lock(tenant->encode_mu);
-  tenant->model = model;
-  // The attached module may not be the weights the encoder was built
-  // against; dropping the encoder's memoized state (cached prefixes and
-  // the schema encoding) keeps it consistent with whatever is now behind
-  // it.
-  tenant->encoder->InvalidateCache();
+Status EncoderService::BeginCall(Tenant& tenant) {
+  std::lock_guard<std::mutex> lock(queue_mu_);
+  if (stopping_) return Status::Unavailable("encoder service is shutting down");
+  if (tenant.closing) return Deregistering(tenant.id);
+  ++tenant.inflight;
+  return Status::Ok();
+}
+
+void EncoderService::EndCall(Tenant& tenant) {
+  {
+    std::lock_guard<std::mutex> lock(queue_mu_);
+    --tenant.inflight;
+  }
+  queue_cv_.notify_all();
+}
+
+void EncoderService::DropCache(Tenant& tenant) {
+  metrics_.invalidated_embeddings.Increment(tenant.cache.size());
+  tenant.cache.Clear();
 }
 
 Status EncoderService::AttachModel(const std::string& tenant_id,
                                    nn::Module* model) {
   TenantPtr tenant = FindTenant(tenant_id);
   if (tenant == nullptr) return UnknownTenant(tenant_id);
-  std::lock_guard<std::mutex> lock(tenant->encode_mu);
-  tenant->model = model;
-  tenant->encoder->InvalidateCache();
+  Status entered = BeginCall(*tenant);
+  if (!entered.ok()) return entered;
+  {
+    std::lock_guard<std::mutex> lock(tenant->encode_mu);
+    tenant->model = model;
+    // The attached module may not be the weights the encoder was built
+    // against; dropping the encoder's memoized state (cached prefixes and
+    // the schema encoding) keeps it consistent with whatever is now behind
+    // it.
+    tenant->encoder->InvalidateCache();
+  }
+  EndCall(*tenant);
   return Status::Ok();
+}
+
+void EncoderService::AttachModel(nn::Module* model) {
+  PREQR_CHECK(AttachModel(kDefaultTenantId, model).ok());
 }
 
 Status EncoderService::ReloadModel(const std::string& path) {
@@ -636,10 +641,7 @@ Status EncoderService::ReloadModel(const std::string& tenant_id,
     // current one. Other tenants' drains proceed independently.
     queue_cv_.wait(lock, [&] { return !tenant->draining || stopping_; });
     if (stopping_) return Status::Unavailable("encoder service destroyed");
-    if (tenant->closing) {
-      return Status::NotFound("tenant '" + tenant->id +
-                              "' is deregistering");
-    }
+    if (tenant->closing) return Deregistering(tenant->id);
     tenant->draining = true;
     // Everything this tenant already admitted is waited out, not dropped:
     // the counter records how much in-flight work each reload had to let
@@ -664,8 +666,7 @@ Status EncoderService::ReloadModel(const std::string& tenant_id,
     } else {
       s = nn::LoadModule(*tenant->model, path);
       if (s.ok()) {
-        metrics_.invalidated_embeddings.Increment(tenant->cache.size());
-        tenant->cache.Clear();
+        DropCache(*tenant);
         tenant->encoder->InvalidateCache();
         metrics_.invalidations.Increment();
         metrics_.reloads.Increment();
@@ -685,6 +686,29 @@ Status EncoderService::ReloadModel(const std::string& tenant_id,
   return s;
 }
 
+Status EncoderService::InvalidateTenant(Tenant& tenant) {
+  Status entered = BeginCall(tenant);
+  if (!entered.ok()) return entered;
+  {
+    // Taking encode_mu waits out any in-flight batch of this tenant, and
+    // EncodeLocked inserts before releasing it — so after the drop nothing
+    // stale can appear.
+    std::lock_guard<std::mutex> lock(tenant.encode_mu);
+    DropCache(tenant);
+    tenant.encoder->InvalidateCache();
+  }
+  EndCall(tenant);
+  return Status::Ok();
+}
+
+Status EncoderService::InvalidateCache(const std::string& tenant_id) {
+  TenantPtr tenant = FindTenant(tenant_id);
+  if (tenant == nullptr) return UnknownTenant(tenant_id);
+  Status s = InvalidateTenant(*tenant);
+  if (s.ok()) metrics_.invalidations.Increment();
+  return s;
+}
+
 void EncoderService::InvalidateCache() {
   std::vector<TenantPtr> tenants;
   {
@@ -692,27 +716,10 @@ void EncoderService::InvalidateCache() {
     tenants.reserve(tenants_.size());
     for (const auto& [id, tenant] : tenants_) tenants.push_back(tenant);
   }
-  for (const auto& tenant : tenants) {
-    // Taking encode_mu waits out any in-flight batch of this tenant, and
-    // EncodeLocked inserts before releasing it — so after Clear nothing
-    // stale can appear.
-    std::lock_guard<std::mutex> lock(tenant->encode_mu);
-    metrics_.invalidated_embeddings.Increment(tenant->cache.size());
-    tenant->cache.Clear();
-    tenant->encoder->InvalidateCache();
-  }
+  // A tenant that started deregistering since the snapshot is skipped: its
+  // partition is being dropped anyway, and its encoder is off limits.
+  for (const auto& tenant : tenants) (void)InvalidateTenant(*tenant);
   metrics_.invalidations.Increment();
-}
-
-Status EncoderService::InvalidateCache(const std::string& tenant_id) {
-  TenantPtr tenant = FindTenant(tenant_id);
-  if (tenant == nullptr) return UnknownTenant(tenant_id);
-  std::lock_guard<std::mutex> lock(tenant->encode_mu);
-  metrics_.invalidated_embeddings.Increment(tenant->cache.size());
-  tenant->cache.Clear();
-  tenant->encoder->InvalidateCache();
-  metrics_.invalidations.Increment();
-  return Status::Ok();
 }
 
 }  // namespace preqr::serving

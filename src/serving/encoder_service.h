@@ -151,27 +151,34 @@ class EncoderService {
   // Registers `encoder` as the default tenant ("").
   explicit EncoderService(baselines::QueryEncoder* encoder,
                           EncoderServiceOptions options = {});
-  // Starts with no tenants at all (registry-driven multi-tenant serving):
-  // every request is kNotFound until RegisterTenant is called.
+  // Starts with no tenants at all (multi-tenant serving): every request is
+  // kNotFound until RegisterTenant is called.
   explicit EncoderService(EncoderServiceOptions options);
   // Fails every request still queued with kUnavailable, then joins the
   // dispatcher.
   ~EncoderService();
 
   // --- Tenant lifecycle (safe under concurrent traffic) -------------------
-  // Registers a tenant: its own cache partition, metrics block, and encode
-  // mutex. `encoder` (and `model`, when given — it enables per-tenant
-  // ReloadModel) are non-owned and must outlive the tenant's registration.
-  // Fails with kInvalidArgument on a duplicate id.
+  // The service is the one owner of tenant membership. RegisterTenant gives
+  // a tenant its own cache partition, metrics block, and encode mutex.
+  // `encoder` (and `model`, when given — it enables per-tenant ReloadModel)
+  // must stay alive while the service can reach them: pass whatever owns
+  // them as `owner` (e.g. the tenant's TenantContext) and the service keeps
+  // it alive until the last reference to the tenant is gone — after
+  // deregistration, once the in-flight calls that still hold the tenant
+  // have returned. Without an owner the caller guarantees the lifetime.
+  // Fails with kInvalidArgument on a duplicate id or a null encoder.
   Status RegisterTenant(const std::string& tenant_id,
                         baselines::QueryEncoder* encoder,
-                        nn::Module* model = nullptr);
+                        nn::Module* model = nullptr,
+                        std::shared_ptr<const void> owner = {});
   // Deregisters a tenant with a reload-style drain: new work for the
   // tenant is refused with kNotFound immediately, everything already
   // admitted is encoded and delivered (never dropped), then exactly this
   // tenant's cache partition is dropped and its metrics lines disappear.
-  // Other tenants are not disturbed. The default tenant cannot be
-  // deregistered.
+  // Once it returns, no call through the service reaches the tenant's
+  // encoder again. Other tenants are not disturbed. The default tenant
+  // cannot be deregistered.
   Status DeregisterTenant(const std::string& tenant_id);
   bool HasTenant(const std::string& tenant_id) const;
   std::vector<std::string> TenantIds() const;
@@ -186,7 +193,7 @@ class EncoderService {
   // synchronously so rejected requests resolve immediately; the returned
   // future resolves when the micro-batcher delivers. During a reload drain
   // Submit parks like Encode does (admission is the blocking part).
-  std::future<StatusOr<EncodeResponse>> Submit(EncodeRequest request);
+  std::future<StatusOr<EncodeResponse>> Submit(const EncodeRequest& request);
 
   // Encodes a workload slice synchronously: expired slots fail with
   // kDeadlineExceeded, cache hits resolve locally, and the distinct
@@ -205,19 +212,20 @@ class EncoderService {
   std::vector<StatusOr<nn::Tensor>> EncodeBatch(
       const std::vector<std::string>& sqls);
 
-  // Drops every tenant's cached embeddings and each encoder's own memoized
-  // state. Call after the wrapped models' parameters changed (further
+  // Drops one tenant's cached embeddings and its encoder's own memoized
+  // state. Call after the wrapped model's parameters changed (further
   // pre-training, incremental updates); waits for any in-flight batch.
-  void InvalidateCache();
-  // Same, for one tenant only. kNotFound for unknown ids.
+  // kNotFound for unknown or deregistering ids.
   Status InvalidateCache(const std::string& tenant_id);
+  // Same, for every registered tenant.
+  void InvalidateCache();
 
-  // Registers the module whose weights back the default tenant's encoder,
-  // enabling ReloadModel. Non-owned; must outlive the service.
-  void AttachModel(nn::Module* model);
-  // Same, for any tenant (RegisterTenant's `model` argument is the usual
-  // way; this re-points it). kNotFound for unknown ids.
+  // Re-points a tenant's model (RegisterTenant's `model` argument is the
+  // usual way to set it), enabling ReloadModel. Non-owned; must outlive the
+  // tenant's registration. kNotFound for unknown or deregistering ids.
   Status AttachModel(const std::string& tenant_id, nn::Module* model);
+  // Same, for the default tenant; crashes when there is none.
+  void AttachModel(nn::Module* model);
 
   // Hot model reload for the default tenant — see the tenant overload.
   Status ReloadModel(const std::string& path);
@@ -232,10 +240,6 @@ class EncoderService {
   // they were and serving continues.
   Status ReloadModel(const std::string& tenant_id, const std::string& path);
 
-  // The default tenant's encoder dim/name (0 / "serving(multi-tenant)"
-  // when the service was constructed without one).
-  int dim() const;
-  std::string name() const;
   // Cached embeddings summed over all tenants / for one tenant (0 for
   // unknown ids).
   size_t cached_embeddings() const;
@@ -251,16 +255,21 @@ class EncoderService {
   // drain conditions on queue_cv_.
   struct Tenant {
     Tenant(std::string tenant_id, baselines::QueryEncoder* enc,
-           nn::Module* mod, const EncoderServiceOptions& options,
+           nn::Module* mod, std::shared_ptr<const void> owned_by,
+           const EncoderServiceOptions& options,
            std::shared_ptr<TenantMetrics> tenant_metrics)
-        : id(std::move(tenant_id)),
+        : owner(std::move(owned_by)),
+          id(std::move(tenant_id)),
           encoder(enc),
           model(mod),
           cache(options.cache_capacity, options.cache_shards),
           metrics(std::move(tenant_metrics)) {}
 
+    // Keeps encoder/model alive for as long as this record is reachable;
+    // declared first so it is released last.
+    const std::shared_ptr<const void> owner;
     const std::string id;
-    baselines::QueryEncoder* const encoder;  // non-owned
+    baselines::QueryEncoder* const encoder;  // kept alive by `owner`
     nn::Module* model;                       // non-owned; guarded by encode_mu
     ShardedLruCache<std::string, nn::Tensor> cache;
     std::shared_ptr<TenantMetrics> metrics;
@@ -285,13 +294,40 @@ class EncoderService {
     std::promise<StatusOr<EncodeResponse>> promise;
   };
 
+  // A request that passed admission: its tenant and, on a hit, the cached
+  // embedding (shared with the cache — callers hand out a detached copy).
+  struct Admitted {
+    TenantPtr tenant;
+    std::optional<nn::Tensor> hit;
+  };
+  // Tenant lookups memoized per id across one EncodeBatch call.
+  using Routes = std::unordered_map<std::string, TenantPtr>;
+
   TenantPtr FindTenant(const std::string& tenant_id) const;
-  // Cache probe + tenant/deadline/shed checks + ring push. Returns an
-  // already-resolved result for hits and rejections, or nullopt after a
-  // successful enqueue — *future then delivers when the batcher does.
+  // The admission steps every entry point shares, in contract order: the
+  // deadline on arrival, tenant routing (kNotFound before any probe),
+  // per-tenant request counting, then the cache probe with its hit/miss
+  // counters. `routes` (may be null) memoizes routing across a batch.
+  StatusOr<Admitted> Admit(const EncodeRequest& request,
+                           DeadlineClock::time_point now, Routes* routes);
+  // Admit, then resolve hits locally or run the drain/shed checks and push
+  // misses onto the ring. Returns an already-resolved result for hits and
+  // rejections, or nullopt after a successful enqueue — *future then
+  // delivers when the batcher does.
   std::optional<StatusOr<EncodeResponse>> AdmitOrResolve(
-      EncodeRequest&& request,
+      const EncodeRequest& request,
       std::future<StatusOr<EncodeResponse>>* future);
+  // Counts a synchronous call into the tenant's encoder (sync batch,
+  // invalidation, model attach) as in flight, so drains wait it out.
+  // Refused once the tenant is closing (kNotFound) or the service is
+  // stopping (kUnavailable). Every successful BeginCall pairs with EndCall.
+  Status BeginCall(Tenant& tenant);
+  void EndCall(Tenant& tenant);
+  // Drops the tenant's cache partition and counts what it held. Caller
+  // holds tenant.encode_mu, so no encode can refill it mid-drop.
+  void DropCache(Tenant& tenant);
+  // InvalidateCache's per-tenant body, without the invalidations count.
+  Status InvalidateTenant(Tenant& tenant);
   // Background thread: pops micro-batches, drops expired requests, groups
   // by tenant, runs each tenant's encoder, fulfills promises.
   void DispatchLoop();
@@ -306,7 +342,8 @@ class EncoderService {
   size_t admit_watermark_ = 0;  // ring size at which priority<=0 sheds
   ServingMetrics metrics_;
 
-  mutable std::mutex tenants_mu_;  // guards the map only, not tenant state
+  // Guards the map and each entry's metrics-block lifecycle, not tenant state.
+  mutable std::mutex tenants_mu_;
   std::map<std::string, TenantPtr> tenants_;
 
   mutable std::mutex queue_mu_;

@@ -49,62 +49,4 @@ std::string TenantContext::Describe() const {
          std::to_string(encoder_->dim());
 }
 
-Status TenantRegistry::Register(const std::string& tenant_id,
-                                std::shared_ptr<TenantContext> context) {
-  if (context == nullptr) {
-    return Status::InvalidArgument("Register requires a TenantContext");
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  if (contexts_.count(tenant_id) > 0) {
-    return Status::InvalidArgument("tenant '" + tenant_id +
-                                   "' already registered");
-  }
-  Status s = service_->RegisterTenant(tenant_id, context->encoder(),
-                                      context->model());
-  if (!s.ok()) return s;
-  contexts_.emplace(tenant_id, std::move(context));
-  return Status::Ok();
-}
-
-Status TenantRegistry::Deregister(const std::string& tenant_id) {
-  std::shared_ptr<TenantContext> context;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = contexts_.find(tenant_id);
-    if (it == contexts_.end()) {
-      return Status::NotFound("unknown tenant '" + tenant_id + "'");
-    }
-    // Hold the context alive across the drain without holding mu_: the
-    // service's DeregisterTenant blocks until every in-flight batch on
-    // this tenant's encoder finished, and concurrent Register/Lookup calls
-    // must not wait behind that.
-    context = it->second;
-  }
-  Status s = service_->DeregisterTenant(tenant_id);
-  if (!s.ok()) return s;
-  std::lock_guard<std::mutex> lock(mu_);
-  contexts_.erase(tenant_id);
-  return Status::Ok();
-}
-
-std::shared_ptr<TenantContext> TenantRegistry::Lookup(
-    const std::string& tenant_id) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto it = contexts_.find(tenant_id);
-  return it == contexts_.end() ? nullptr : it->second;
-}
-
-std::vector<std::string> TenantRegistry::TenantIds() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<std::string> ids;
-  ids.reserve(contexts_.size());
-  for (const auto& [id, context] : contexts_) ids.push_back(id);
-  return ids;
-}
-
-size_t TenantRegistry::size() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return contexts_.size();
-}
-
 }  // namespace preqr::serving

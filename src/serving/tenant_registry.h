@@ -1,9 +1,7 @@
 #ifndef PREQR_SERVING_TENANT_REGISTRY_H_
 #define PREQR_SERVING_TENANT_REGISTRY_H_
 
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -12,7 +10,6 @@
 #include "core/preqr_model.h"
 #include "db/stats.h"
 #include "schema/schema_graph.h"
-#include "serving/encoder_service.h"
 #include "sql/catalog.h"
 #include "tasks/preqr_encoder.h"
 #include "text/tokenizer.h"
@@ -23,9 +20,9 @@ namespace preqr::serving {
 // with the ownership and construction order the layers below leave
 // implicit: the tokenizer keeps a reference into the catalog, the model
 // keeps pointers into the tokenizer/automaton/graph, the encoder keeps a
-// pointer into the model. A TenantContext owns the whole chain, so handing
-// `encoder()` + `model()` to an EncoderService is safe for as long as the
-// context is alive — which is exactly what TenantRegistry guarantees.
+// pointer into the model. A TenantContext owns the whole chain; register it
+// with EncoderService::RegisterTenant(id, encoder(), model(), context) and
+// the service keeps it alive until the last reference to the tenant is gone.
 //
 // The per-database artifacts are the point (the paper internalizes ONE
 // database's schema into the model): schema graph, schema-token
@@ -49,8 +46,8 @@ class TenantContext {
   };
 
   // Builds the full chain (graph -> automaton -> tokenizer -> model ->
-  // encoder). Misaligned stats fail with kInvalidArgument — a registry
-  // driven by runtime registration must not crash on bad input.
+  // encoder). Misaligned stats fail with kInvalidArgument — runtime
+  // registration must not crash on bad input.
   static StatusOr<std::unique_ptr<TenantContext>> Create(Options options);
 
   // Members point into each other; moving or copying would dangle them.
@@ -81,35 +78,6 @@ class TenantContext {
   std::unique_ptr<text::SqlTokenizer> tokenizer_;
   std::unique_ptr<core::PreqrModel> model_;
   std::unique_ptr<tasks::PreqrEncoder> encoder_;
-};
-
-// Thread-safe owner of TenantContexts, kept in lock-step with an
-// EncoderService's tenant table: Register hands the context's encoder and
-// model to the service, Deregister drains the tenant out of the service
-// *before* the context (and the model the in-flight work runs on) can be
-// released. The registry owns the contexts; the service only borrows.
-class TenantRegistry {
- public:
-  // `service` is non-owned and must outlive the registry.
-  explicit TenantRegistry(EncoderService* service) : service_(service) {}
-
-  // Registers `context` under `id` with the service. kInvalidArgument on a
-  // duplicate id (in the registry or the service).
-  Status Register(const std::string& tenant_id,
-                  std::shared_ptr<TenantContext> context);
-  // Drains the tenant out of the service (everything admitted is
-  // delivered, new work gets kNotFound), then releases the context.
-  Status Deregister(const std::string& tenant_id);
-
-  std::shared_ptr<TenantContext> Lookup(const std::string& tenant_id) const;
-  std::vector<std::string> TenantIds() const;
-  size_t size() const;
-  EncoderService* service() const { return service_; }
-
- private:
-  EncoderService* service_;
-  mutable std::mutex mu_;
-  std::map<std::string, std::shared_ptr<TenantContext>> contexts_;
 };
 
 }  // namespace preqr::serving

@@ -6,8 +6,8 @@
 #include <utility>
 
 #include "automaton/symbol.h"
+#include "common/metrics.h"
 #include "nn/ops.h"
-#include "serving/metrics.h"
 
 namespace preqr::tasks {
 
@@ -122,7 +122,7 @@ void PreqrEncoder::ComputeQueriesBatched(const std::vector<std::string>& sqls,
         text::SqlTokenizer::Collate(items, model_->config().max_seq_len);
     uint64_t valid_tokens = 0;
     for (int len : batch.lengths) valid_tokens += static_cast<uint64_t>(len);
-    serving::RecordPaddedBatch(batch.batch_size, batch.t_max, valid_tokens);
+    RecordPaddedBatch(batch.batch_size, batch.t_max, valid_tokens);
     nn::Tensor prefixes = model_->EncodePrefixBatch(batch, schema_);
     // Slice each example's valid rows back out (tape-free: the prefix is
     // frozen).
@@ -222,7 +222,7 @@ std::vector<Status> PreqrEncoder::Resolve(const std::vector<std::string>& sqls,
       if (zero_fallback) {
         // Legacy fallback for the task loops: malformed queries read out
         // zeros. No longer silent — counted, logged once per distinct error.
-        serving::RecordEncodeFallback(s.ToString());
+        RecordEncodeFallback(s.ToString());
         entries[i] = &zero;
       }
     }
@@ -248,8 +248,7 @@ std::vector<Status> PreqrEncoder::Resolve(const std::vector<std::string>& sqls,
       valid_tokens += static_cast<uint64_t>(p.dim(0));
       t_max = std::max(t_max, p.dim(0));
     }
-    serving::RecordPaddedBatch(static_cast<int>(c1 - c0), t_max,
-                               valid_tokens);
+    RecordPaddedBatch(static_cast<int>(c1 - c0), t_max, valid_tokens);
     nn::Tensor padded = nn::PadExamples(prefixes);
     nn::Tensor out_batch = model_->LastLayerBatch(padded, schema_, lengths);
     for (size_t j = c0; j < c1; ++j) {

@@ -2,6 +2,7 @@
 
 #include "db/database.h"
 #include "db/executor.h"
+#include "db/plan.h"
 #include "db/stats.h"
 #include "sql/parser.h"
 
@@ -216,37 +217,37 @@ TEST(ExecutorTest, ErrorsOnDisconnectedJoin) {
 }
 
 TEST(ExecutorTest, LikeMatcher) {
-  EXPECT_TRUE(Executor::LikeMatch("hello", "h%o"));
-  EXPECT_TRUE(Executor::LikeMatch("hello", "%ell%"));
-  EXPECT_TRUE(Executor::LikeMatch("hello", "_ello"));
-  EXPECT_FALSE(Executor::LikeMatch("hello", "h_o"));
-  EXPECT_TRUE(Executor::LikeMatch("", "%"));
-  EXPECT_FALSE(Executor::LikeMatch("abc", ""));
-  EXPECT_TRUE(Executor::LikeMatch("abc", "abc"));
-  EXPECT_TRUE(Executor::LikeMatch("a%c-literal", "a%l"));
+  EXPECT_TRUE(LikeMatch("hello", "h%o"));
+  EXPECT_TRUE(LikeMatch("hello", "%ell%"));
+  EXPECT_TRUE(LikeMatch("hello", "_ello"));
+  EXPECT_FALSE(LikeMatch("hello", "h_o"));
+  EXPECT_TRUE(LikeMatch("", "%"));
+  EXPECT_FALSE(LikeMatch("abc", ""));
+  EXPECT_TRUE(LikeMatch("abc", "abc"));
+  EXPECT_TRUE(LikeMatch("a%c-literal", "a%l"));
 }
 
 TEST(ExecutorTest, LikeMatcherEdgeCases) {
   // Empty pattern matches only empty text.
-  EXPECT_TRUE(Executor::LikeMatch("", ""));
-  EXPECT_FALSE(Executor::LikeMatch("a", ""));
+  EXPECT_TRUE(LikeMatch("", ""));
+  EXPECT_FALSE(LikeMatch("a", ""));
   // Runs of % collapse; % alone matches anything, including empty text.
-  EXPECT_TRUE(Executor::LikeMatch("", "%%"));
-  EXPECT_TRUE(Executor::LikeMatch("anything", "%%%"));
+  EXPECT_TRUE(LikeMatch("", "%%"));
+  EXPECT_TRUE(LikeMatch("anything", "%%%"));
   // _ consumes exactly one byte: empty text never matches it, and a
   // two-byte UTF-8 character needs two underscores (byte semantics).
-  EXPECT_FALSE(Executor::LikeMatch("", "_"));
-  EXPECT_FALSE(Executor::LikeMatch("", "_%"));
-  EXPECT_FALSE(Executor::LikeMatch("\xc3\xa9", "_"));  // U+00E9, 2 bytes
-  EXPECT_TRUE(Executor::LikeMatch("\xc3\xa9", "__"));
-  EXPECT_TRUE(Executor::LikeMatch("\xc3\xa9", "%"));
+  EXPECT_FALSE(LikeMatch("", "_"));
+  EXPECT_FALSE(LikeMatch("", "_%"));
+  EXPECT_FALSE(LikeMatch("\xc3\xa9", "_"));  // U+00E9, 2 bytes
+  EXPECT_TRUE(LikeMatch("\xc3\xa9", "__"));
+  EXPECT_TRUE(LikeMatch("\xc3\xa9", "%"));
   // Backtracking across repeated prefixes.
-  EXPECT_TRUE(Executor::LikeMatch("aaab", "%ab"));
-  EXPECT_FALSE(Executor::LikeMatch("aaa", "%ab"));
-  EXPECT_TRUE(Executor::LikeMatch("abcabc", "%abc"));
+  EXPECT_TRUE(LikeMatch("aaab", "%ab"));
+  EXPECT_FALSE(LikeMatch("aaa", "%ab"));
+  EXPECT_TRUE(LikeMatch("abcabc", "%abc"));
   // Pattern longer than text.
-  EXPECT_FALSE(Executor::LikeMatch("ab", "abc"));
-  EXPECT_FALSE(Executor::LikeMatch("ab", "ab_"));
+  EXPECT_FALSE(LikeMatch("ab", "abc"));
+  EXPECT_FALSE(LikeMatch("ab", "ab_"));
 }
 
 TEST(ExecutorTest, PredicateBoundaryNumerics) {

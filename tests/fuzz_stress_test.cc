@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -513,6 +514,7 @@ TEST(FuzzStressTest, EncodesRacingReloadAndInvalidateStayStatusClean) {
   tasks::PreqrEncoder encoder(&model);
   serving::EncoderService service(&encoder);
   service.AttachModel(&model);
+  const int expected_dim = encoder.dim();
 
   // A reload source: the same architecture with different weights.
   const std::string path = testing::TempDir() + "/fuzz_reload.prm1";
@@ -562,7 +564,7 @@ TEST(FuzzStressTest, EncodesRacingReloadAndInvalidateStayStatusClean) {
         ++issued;
         result.ok() ? ++ok_results : ++error_results;
         if (result.ok()) {
-          if (static_cast<int>(result.value().size()) != service.dim()) {
+          if (static_cast<int>(result.value().size()) != expected_dim) {
             ++invariant_violations;
           }
         } else {
@@ -630,10 +632,12 @@ TEST(FuzzStressTest, EncodesRacingReloadAndInvalidateStayStatusClean) {
 // --- The multi-tenant stress drill ----------------------------------------
 
 // Fuzz streams race across three tenants of one service while a reloader
-// hot-swaps each tenant's weights independently and a churner
-// deregisters/re-registers the third tenant mid-drill. Invariants: no
-// crash, every failure carries a canonical Status, steady tenants never
-// see a kNotFound, request accounting stays exact
+// hot-swaps each tenant's weights independently, a churner
+// deregisters/re-registers the third tenant (a fresh service-owned encoder
+// each time) mid-drill, and an invalidator drops per-tenant and all-tenant
+// caches throughout. Invariants: no crash, every failure carries a
+// canonical Status, steady tenants never see a kNotFound, request
+// accounting stays exact
 // (requests == hits + misses + tenant_not_found), every response names
 // its tenant, and each tenant still serves solo-encoder bits afterwards.
 // scripts/check.sh runs this under both ASan and TSan.
@@ -655,7 +659,6 @@ TEST(FuzzStressTest, MultiTenantEncodesRacingReloadAndDeregisterStayIsolated) {
   auto model_c = make_model(33);
   tasks::PreqrEncoder enc_a(&model_a);
   tasks::PreqrEncoder enc_b(&model_b);
-  tasks::PreqrEncoder enc_c(&model_c);
 
   serving::EncoderServiceOptions options;
   options.ring_capacity = 1024;
@@ -663,7 +666,14 @@ TEST(FuzzStressTest, MultiTenantEncodesRacingReloadAndDeregisterStayIsolated) {
   serving::EncoderService service(options);
   ASSERT_TRUE(service.RegisterTenant("a", &enc_a, &model_a).ok());
   ASSERT_TRUE(service.RegisterTenant("b", &enc_b, &model_b).ok());
-  ASSERT_TRUE(service.RegisterTenant("c", &enc_c, &model_c).ok());
+  // Every registration of the churn tenant gets a fresh encoder owned by
+  // the service alone, so a call that reached an encoder after its
+  // registration ended would be a use-after-free under ASan.
+  auto register_c = [&] {
+    auto enc_c = std::make_shared<tasks::PreqrEncoder>(&model_c);
+    return service.RegisterTenant("c", enc_c.get(), &model_c, enc_c);
+  };
+  ASSERT_TRUE(register_c().ok());
   const int expected_dim = enc_a.dim();
 
   // Per-tenant reload donors: same architecture, fresh weights.
@@ -781,15 +791,30 @@ TEST(FuzzStressTest, MultiTenantEncodesRacingReloadAndDeregisterStayIsolated) {
       Status out = service.DeregisterTenant("c");
       if (!out.ok()) ++invariant_violations;
       std::this_thread::yield();
-      Status in = service.RegisterTenant("c", &enc_c, &model_c);
+      Status in = register_c();
       if (!in.ok()) ++invariant_violations;
       std::this_thread::yield();
+    }
+  });
+  // Invalidations race the churn: one that looked "c" up before a
+  // deregistration either finishes inside the drain or is refused with
+  // kNotFound — it never reaches an encoder whose registration ended.
+  std::thread invalidator([&] {
+    while (!stop.load()) {
+      Status sc = service.InvalidateCache("c");
+      if (!sc.ok() && sc.code() != StatusCode::kNotFound) {
+        ++invariant_violations;
+      }
+      if (!service.InvalidateCache("a").ok()) ++invariant_violations;
+      service.InvalidateCache();
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
     }
   });
   for (auto& th : threads) th.join();
   stop.store(true);
   reloader.join();
   churner.join();
+  invalidator.join();
   ASSERT_TRUE(service.HasTenant("c"));  // the churner always re-registers
 
   EXPECT_EQ(invariant_violations.load(), 0);
@@ -811,6 +836,7 @@ TEST(FuzzStressTest, MultiTenantEncodesRacingReloadAndDeregisterStayIsolated) {
   EXPECT_GT(m.reload_failures.value(), 0u);
   EXPECT_GE(m.tenant_registrations.value(), 4u);  // 3 initial + churn cycles
   EXPECT_GT(m.tenant_deregistrations.value(), 0u);
+  EXPECT_GT(m.invalidations.value(), 0u);
 
   // Every tenant still serves bits identical to a fresh solo encoder over
   // whatever weights its last reload installed.

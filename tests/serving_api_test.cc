@@ -1,9 +1,10 @@
 // The redesigned request/response serving API: deadlines (rejected on
 // arrival, dropped while queued), bounded-ring load shedding, per-client
 // admission fairness, priority reservation, async Submit, graceful drain
-// during ReloadModel, and shutdown semantics — all with canonical status
-// codes so callers can tell bad input from shed load. Uses a gateable
-// stub encoder so every race in here is sequenced deterministically.
+// during ReloadModel, tenant-owner lifetime across deregistration, and
+// shutdown semantics — all with canonical status codes so callers can tell
+// bad input from shed load. Uses a gateable stub encoder so every race in
+// here is sequenced deterministically.
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -530,6 +531,135 @@ TEST(ServingApiTest, DeregisterRefusesNewWorkAndDeliversEverythingAdmitted) {
   EXPECT_EQ(service.DeregisterTenant(kDefaultTenantId).code(),
             StatusCode::kInvalidArgument);
   EXPECT_EQ(service.DeregisterTenant("ghost").code(), StatusCode::kNotFound);
+}
+
+// Where a service-owned stub reports its lifetime. The flags live outside
+// the stub, so the test can still read them once the service freed it.
+struct StubLifetime {
+  std::atomic<bool> destroyed{false};
+  std::atomic<int> calls{0};  // encoder calls that reached the stub
+  std::atomic<int> calls_after_destroy{0};
+};
+
+// A StubEncoder handed to the service as its own owner: every call the
+// service makes into it is checked against its destruction.
+class OwnedStub : public StubEncoder {
+ public:
+  explicit OwnedStub(std::shared_ptr<StubLifetime> life)
+      : life_(std::move(life)) {}
+  ~OwnedStub() override { life_->destroyed = true; }
+
+  std::vector<StatusOr<nn::Tensor>> TryEncodeVectorBatch(
+      const std::vector<std::string>& sqls, bool train) override {
+    Touch();
+    return StubEncoder::TryEncodeVectorBatch(sqls, train);
+  }
+  void InvalidateCache() override { Touch(); }
+
+ private:
+  void Touch() {
+    ++life_->calls;
+    if (life_->destroyed) ++life_->calls_after_destroy;
+  }
+  std::shared_ptr<StubLifetime> life_;
+};
+
+TEST(ServingApiTest, TenantOwnerOutlivesEveryCallThatCanReachItsEncoder) {
+  auto life = std::make_shared<StubLifetime>();
+  {
+    StubEncoder stub_default;
+    EncoderServiceOptions options;
+    options.ring_capacity = 1024;  // the probe loop must never shed
+    options.per_client_quota = 1024;
+    EncoderService service(&stub_default, options);
+    auto owned = std::make_shared<OwnedStub>(life);
+    OwnedStub* stub = owned.get();
+    ASSERT_TRUE(
+        service.RegisterTenant("t", stub, nullptr, std::move(owned)).ok());
+    // The service now holds the only reference to the stub.
+    stub->CloseGate();
+    EncodeRequest request;
+    request.sql = "t-held";
+    request.tenant_id = "t";
+    auto held = service.Submit(request);
+    stub->WaitForCallsStarted(1);  // a batch is held in the gate
+    // Invalidations racing the deregistration: each one either runs inside
+    // the drain (it waits behind the held batch) or is refused.
+    std::vector<std::thread> invalidators;
+    invalidators.emplace_back([&] {
+      const Status s = service.InvalidateCache("t");
+      EXPECT_TRUE(s.ok() || s.code() == StatusCode::kNotFound)
+          << s.ToString();
+    });
+    invalidators.emplace_back([&] { service.InvalidateCache(); });
+    std::thread closer(
+        [&] { EXPECT_TRUE(service.DeregisterTenant("t").ok()); });
+    // Admit until the tenant refuses new work: from then on the
+    // deregistration is draining.
+    std::vector<std::future<StatusOr<EncodeResponse>>> admitted;
+    for (int i = 0;; ++i) {
+      request.sql = "t-" + std::to_string(i);
+      auto f = service.Submit(request);
+      if (f.wait_for(milliseconds(0)) == std::future_status::ready) {
+        auto refused = f.get();
+        ASSERT_FALSE(refused.ok());
+        ASSERT_EQ(refused.status().code(), StatusCode::kNotFound);
+        break;
+      }
+      admitted.push_back(std::move(f));
+      std::this_thread::sleep_for(microseconds(100));
+    }
+    // Mid-drain: the tenant and its owner are still there, and calls that
+    // arrive now are refused without reaching the stub.
+    EXPECT_TRUE(service.HasTenant("t"));
+    EXPECT_FALSE(life->destroyed.load());
+    EXPECT_EQ(service.InvalidateCache("t").code(), StatusCode::kNotFound);
+    EXPECT_EQ(service.AttachModel("t", nullptr).code(),
+              StatusCode::kNotFound);
+    service.InvalidateCache();
+    stub->OpenGate();
+    closer.join();
+    for (auto& th : invalidators) th.join();
+    auto first = held.get();
+    EXPECT_TRUE(first.ok()) << first.status().ToString();
+    for (auto& f : admitted) {
+      auto r = f.get();
+      EXPECT_TRUE(r.ok()) << r.status().ToString();
+    }
+    EXPECT_FALSE(service.HasTenant("t"));
+    EXPECT_EQ(service.InvalidateCache("t").code(), StatusCode::kNotFound);
+    service.InvalidateCache();
+  }
+  // The owner went with the last tenant reference, and nothing reached the
+  // stub after that.
+  EXPECT_TRUE(life->destroyed.load());
+  EXPECT_GT(life->calls.load(), 0);
+  EXPECT_EQ(life->calls_after_destroy.load(), 0);
+}
+
+// A re-registration that races a deregistration's tail must get a fresh
+// metrics block that DumpText renders, never the departing tenant's block
+// (which the deregistration is about to drop from the dump).
+TEST(ServingApiTest, ReRegistrationRacingDeregistrationGetsFreshMetrics) {
+  StubEncoder stub;
+  EncoderService service{EncoderServiceOptions{}};
+  EncodeRequest request = Req("q");
+  request.tenant_id = "x";
+  for (int round = 0; round < 200; ++round) {
+    ASSERT_TRUE(service.RegisterTenant("x", &stub).ok());
+    std::thread closer(
+        [&] { EXPECT_TRUE(service.DeregisterTenant("x").ok()); });
+    // Retries fail as duplicates until the deregistration erases "x".
+    while (!service.RegisterTenant("x", &stub).ok()) {
+    }
+    closer.join();
+    ASSERT_TRUE(service.Encode(request).ok());
+    const std::string dump = service.metrics().DumpText();
+    ASSERT_NE(dump.find("serving_tenant_requests_total{tenant=\"x\"} 1\n"),
+              std::string::npos)
+        << "round " << round << "\n" << dump;
+    ASSERT_TRUE(service.DeregisterTenant("x").ok());
+  }
 }
 
 TEST(ServingApiTest, DestructionFailsQueuedRequestsWithUnavailable) {

@@ -361,8 +361,6 @@ TEST(EncoderServiceTest, MetricsDumpExposesCountersAndLatencies) {
     EXPECT_NE(dump.find(key), std::string::npos) << "missing: " << key
                                                  << "\n" << dump;
   }
-  EXPECT_EQ(service.name(), "serving(PreQR)");
-  EXPECT_EQ(service.dim(), encoder.dim());
 }
 
 // The PreqrEncoder's own prefix cache is LRU-bounded now; hammer it past

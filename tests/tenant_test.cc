@@ -1,10 +1,11 @@
-// TenantContext/TenantRegistry + multi-tenant EncoderService: registry
-// lifecycle, kNotFound-before-the-cache-probe routing, cross-tenant cache
-// isolation (identical SQL never shares an entry), bitwise equivalence of
-// every tenant's responses to its solo single-tenant encoder under
-// interleaved and threaded traffic, slot independence across tenants in
-// one batch, per-tenant reload/deregister drains under concurrent load,
-// and the per-tenant metrics lines in DumpText.
+// TenantContext + multi-tenant EncoderService: tenant lifecycle with the
+// context as the tenant's owner, kNotFound-before-the-cache-probe routing,
+// cross-tenant cache isolation (identical SQL never shares an entry),
+// bitwise equivalence of every tenant's responses to its solo
+// single-tenant encoder under interleaved and threaded traffic, slot
+// independence across tenants in one batch, per-tenant reload/deregister
+// drains under concurrent load, and the per-tenant metrics lines in
+// DumpText.
 #include "serving/tenant_registry.h"
 
 #include <atomic>
@@ -18,6 +19,7 @@
 #include <gtest/gtest.h>
 
 #include "nn/serialize.h"
+#include "serving/encoder_service.h"
 #include "workload/imdb.h"
 #include "workload/query_gen.h"
 
@@ -47,6 +49,14 @@ std::shared_ptr<TenantContext> MakeTenant(uint64_t seed) {
   auto context = TenantContext::Create(MakeTenantOptions(seed));
   EXPECT_TRUE(context.ok()) << context.status().ToString();
   return std::shared_ptr<TenantContext>(std::move(context.value()));
+}
+
+// Registers `context` under `id` as the tenant's owner: the service keeps
+// it alive until the last reference to the tenant is gone.
+Status Register(EncoderService& service, const std::string& id,
+                const std::shared_ptr<TenantContext>& context) {
+  return service.RegisterTenant(id, context->encoder(), context->model(),
+                                context);
 }
 
 // All tenants share one corpus-compatible schema (same IMDB shape), so any
@@ -102,35 +112,33 @@ TEST(TenantContextTest, CreateValidatesAndDescribes) {
   EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
 }
 
-TEST(TenantRegistryTest, LifecycleAndDuplicateRejection) {
+TEST(TenantServiceTest, LifecycleAndDuplicateRejection) {
   EncoderService service{EncoderServiceOptions{}};
-  TenantRegistry registry(&service);
-  EXPECT_EQ(registry.size(), 0u);
-  ASSERT_TRUE(registry.Register("a", E().contexts[0]).ok());
-  ASSERT_TRUE(registry.Register("b", E().contexts[1]).ok());
-  EXPECT_EQ(registry.size(), 2u);
-  EXPECT_NE(registry.Lookup("a"), nullptr);
-  EXPECT_EQ(registry.Lookup("ghost"), nullptr);
+  ASSERT_TRUE(Register(service, "a", E().contexts[0]).ok());
+  ASSERT_TRUE(Register(service, "b", E().contexts[1]).ok());
   EXPECT_TRUE(service.HasTenant("a"));
   EXPECT_TRUE(service.HasTenant("b"));
-  // Duplicate ids and null contexts are kInvalidArgument.
-  EXPECT_EQ(registry.Register("a", E().contexts[2]).code(),
+  EXPECT_FALSE(service.HasTenant("ghost"));
+  EXPECT_EQ(service.TenantIds(), (std::vector<std::string>{"a", "b"}));
+  // Duplicate ids and null encoders are kInvalidArgument.
+  EXPECT_EQ(Register(service, "a", E().contexts[2]).code(),
             StatusCode::kInvalidArgument);
-  EXPECT_EQ(registry.Register("c", nullptr).code(),
+  EXPECT_EQ(service.RegisterTenant("c", nullptr).code(),
             StatusCode::kInvalidArgument);
-  // Deregister drains the service side first, then drops the context.
-  ASSERT_TRUE(registry.Deregister("a").ok());
+  // Deregister drains first; the service then drops its hold on the
+  // context (the fixture keeps its own reference).
+  const long holders = E().contexts[0].use_count();
+  ASSERT_TRUE(service.DeregisterTenant("a").ok());
   EXPECT_FALSE(service.HasTenant("a"));
-  EXPECT_EQ(registry.Lookup("a"), nullptr);
-  EXPECT_EQ(registry.Deregister("a").code(), StatusCode::kNotFound);
+  EXPECT_EQ(E().contexts[0].use_count(), holders - 1);
+  EXPECT_EQ(service.DeregisterTenant("a").code(), StatusCode::kNotFound);
   EXPECT_EQ(service.metrics().tenant_registrations.value(), 2u);
   EXPECT_EQ(service.metrics().tenant_deregistrations.value(), 1u);
 }
 
 TEST(TenantServiceTest, UnknownTenantRejectedBeforeCacheProbe) {
   EncoderService service{EncoderServiceOptions{}};
-  TenantRegistry registry(&service);
-  ASSERT_TRUE(registry.Register("a", E().contexts[0]).ok());
+  ASSERT_TRUE(Register(service, "a", E().contexts[0]).ok());
   const std::string& sql = E().corpus[0];
   EncodeRequest request;
   request.sql = sql;
@@ -150,15 +158,12 @@ TEST(TenantServiceTest, UnknownTenantRejectedBeforeCacheProbe) {
   auto none = empty.Encode(Req(sql));
   ASSERT_FALSE(none.ok());
   EXPECT_EQ(none.status().code(), StatusCode::kNotFound);
-  EXPECT_EQ(empty.dim(), 0);
-  EXPECT_EQ(empty.name(), "serving(multi-tenant)");
 }
 
 TEST(TenantServiceTest, IdenticalSqlNeverSharesCacheAcrossTenants) {
   EncoderService service{EncoderServiceOptions{}};
-  TenantRegistry registry(&service);
-  ASSERT_TRUE(registry.Register("a", E().contexts[0]).ok());
-  ASSERT_TRUE(registry.Register("b", E().contexts[1]).ok());
+  ASSERT_TRUE(Register(service, "a", E().contexts[0]).ok());
+  ASSERT_TRUE(Register(service, "b", E().contexts[1]).ok());
   const std::string& sql = E().corpus[0];
   auto under_a = service.Encode(Req(sql, "a"));
   auto under_b = service.Encode(Req(sql, "b"));
@@ -191,9 +196,8 @@ TEST(TenantServiceTest, IdenticalSqlNeverSharesCacheAcrossTenants) {
 
 TEST(TenantServiceTest, MalformedQueryCannotPoisonAnotherTenantsSlot) {
   EncoderService service{EncoderServiceOptions{}};
-  TenantRegistry registry(&service);
-  ASSERT_TRUE(registry.Register("a", E().contexts[0]).ok());
-  ASSERT_TRUE(registry.Register("b", E().contexts[1]).ok());
+  ASSERT_TRUE(Register(service, "a", E().contexts[0]).ok());
+  ASSERT_TRUE(Register(service, "b", E().contexts[1]).ok());
   const std::string& good = E().corpus[0];
   std::vector<EncodeRequest> mixed(4);
   mixed[0] = Req(good, "a");
@@ -221,9 +225,8 @@ TEST(TenantServiceTest, MalformedQueryCannotPoisonAnotherTenantsSlot) {
 // every response bitwise-identical to the corresponding solo encoder.
 TEST(TenantServiceTest, ThreeTenantInterleavedTrafficMatchesSoloBitwise) {
   EncoderService service{EncoderServiceOptions{}};
-  TenantRegistry registry(&service);
   for (size_t i = 0; i < E().ids.size(); ++i) {
-    ASSERT_TRUE(registry.Register(E().ids[i], E().contexts[i]).ok());
+    ASSERT_TRUE(Register(service, E().ids[i], E().contexts[i]).ok());
   }
   const std::vector<std::string>& corpus = E().corpus;
   ASSERT_GE(corpus.size(), 4u);
@@ -287,9 +290,8 @@ TEST(TenantServiceTest, ThreeTenantInterleavedTrafficMatchesSoloBitwise) {
 
 TEST(TenantServiceTest, PerTenantReloadDrainsOnlyThatTenant) {
   EncoderService service{EncoderServiceOptions{}};
-  TenantRegistry registry(&service);
-  ASSERT_TRUE(registry.Register("a", E().contexts[0]).ok());
-  ASSERT_TRUE(registry.Register("b", E().contexts[1]).ok());
+  ASSERT_TRUE(Register(service, "a", E().contexts[0]).ok());
+  ASSERT_TRUE(Register(service, "b", E().contexts[1]).ok());
   const std::string& sql = E().corpus[0];
   ASSERT_TRUE(service.Encode(Req(sql, "a")).ok());
   ASSERT_TRUE(service.Encode(Req(sql, "b")).ok());
@@ -315,15 +317,14 @@ TEST(TenantServiceTest, PerTenantReloadDrainsOnlyThatTenant) {
 
 TEST(TenantServiceTest, DeregisterDrainsAndDropsExactlyThatPartition) {
   EncoderService service{EncoderServiceOptions{}};
-  TenantRegistry registry(&service);
-  ASSERT_TRUE(registry.Register("a", E().contexts[0]).ok());
-  ASSERT_TRUE(registry.Register("b", E().contexts[1]).ok());
+  ASSERT_TRUE(Register(service, "a", E().contexts[0]).ok());
+  ASSERT_TRUE(Register(service, "b", E().contexts[1]).ok());
   const std::string& sql = E().corpus[1];
   ASSERT_TRUE(service.Encode(Req(sql, "a")).ok());
   ASSERT_TRUE(service.Encode(Req(sql, "b")).ok());
   const uint64_t invalidated_before =
       service.metrics().invalidated_embeddings.value();
-  ASSERT_TRUE(registry.Deregister("a").ok());
+  ASSERT_TRUE(service.DeregisterTenant("a").ok());
   // Exactly a's one cached embedding was dropped; b's partition survives.
   EXPECT_EQ(service.metrics().invalidated_embeddings.value(),
             invalidated_before + 1);
@@ -339,7 +340,7 @@ TEST(TenantServiceTest, DeregisterDrainsAndDropsExactlyThatPartition) {
   EXPECT_EQ(gone.status().code(), StatusCode::kNotFound);
   EXPECT_TRUE(service.Encode(Req(sql, "b")).ok());
   // Re-registering the id works (fresh, empty partition).
-  ASSERT_TRUE(registry.Register("a", E().contexts[0]).ok());
+  ASSERT_TRUE(Register(service, "a", E().contexts[0]).ok());
   auto back = service.Encode(Req(sql, "a"));
   ASSERT_TRUE(back.ok());
   EXPECT_FALSE(back.value().cache_hit);
@@ -347,8 +348,7 @@ TEST(TenantServiceTest, DeregisterDrainsAndDropsExactlyThatPartition) {
 
 TEST(TenantServiceTest, RegisterAndDeregisterUnderConcurrentLoad) {
   EncoderService service{EncoderServiceOptions{}};
-  TenantRegistry registry(&service);
-  ASSERT_TRUE(registry.Register("steady", E().contexts[0]).ok());
+  ASSERT_TRUE(Register(service, "steady", E().contexts[0]).ok());
   const std::vector<std::string>& corpus = E().corpus;
   nn::Tensor want =
       E().contexts[0]->encoder()->EncodeVector(corpus[0], /*train=*/false);
@@ -373,12 +373,12 @@ TEST(TenantServiceTest, RegisterAndDeregisterUnderConcurrentLoad) {
     }
   });
   for (int cycle = 0; cycle < 3; ++cycle) {
-    ASSERT_TRUE(registry.Register("churn", E().contexts[1]).ok());
+    ASSERT_TRUE(Register(service, "churn", E().contexts[1]).ok());
     for (int i = 0; i < 4; ++i) {
       auto r = service.Encode(Req(corpus[i % corpus.size()], "churn"));
       ASSERT_TRUE(r.ok()) << r.status().ToString();
     }
-    ASSERT_TRUE(registry.Deregister("churn").ok());
+    ASSERT_TRUE(service.DeregisterTenant("churn").ok());
     EXPECT_EQ(service.cached_embeddings("churn"), 0u);
   }
   stop.store(true);

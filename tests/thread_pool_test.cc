@@ -1,11 +1,9 @@
 // Tests for the fixed-size ThreadPool and its ParallelFor helper: lifecycle,
-// full index coverage, exception propagation, nested submission, and a
-// stress run with many tiny tasks.
+// full index coverage, exception propagation, nested calls, and a stress run
+// with many tiny chunks.
 #include <atomic>
 #include <cstdlib>
-#include <future>
 #include <stdexcept>
-#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -32,20 +30,6 @@ TEST(ThreadPoolTest, DefaultNumThreadsHonoursEnv) {
   EXPECT_GE(ThreadPool::DefaultNumThreads(), 1);
   unsetenv("PREQR_NUM_THREADS");
   EXPECT_GE(ThreadPool::DefaultNumThreads(), 1);
-}
-
-TEST(ThreadPoolTest, SubmitRunsTask) {
-  ThreadPool pool(4);
-  std::atomic<int> ran{0};
-  auto f = pool.Submit([&] { ran.fetch_add(1); });
-  f.wait();
-  EXPECT_EQ(ran.load(), 1);
-}
-
-TEST(ThreadPoolTest, SubmitPropagatesException) {
-  ThreadPool pool(2);
-  auto f = pool.Submit([] { throw std::runtime_error("task boom"); });
-  EXPECT_THROW(f.get(), std::runtime_error);
 }
 
 TEST(ThreadPoolTest, ParallelForCoversEveryIndexExactlyOnce) {
@@ -114,35 +98,6 @@ TEST(ThreadPoolTest, NestedParallelForRunsInline) {
     }
   });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPoolTest, NestedSubmitDoesNotDeadlock) {
-  ThreadPool pool(2);
-  std::atomic<int> ran{0};
-  auto outer = pool.Submit([&] {
-    // Submitting from inside a worker must be safe; the inner task may run
-    // on any thread once the outer task returns.
-    pool.Submit([&] { ran.fetch_add(1); });
-    ran.fetch_add(1);
-  });
-  outer.wait();
-  // Inner task drains by the destructor at the latest.
-  // (Wait for it explicitly to avoid relying on teardown ordering.)
-  while (ran.load() < 2) std::this_thread::yield();
-  EXPECT_EQ(ran.load(), 2);
-}
-
-TEST(ThreadPoolTest, StressManyTinyTasks) {
-  ThreadPool pool(8);
-  constexpr int kTasks = 10000;
-  std::atomic<int> count{0};
-  std::vector<std::future<void>> futures;
-  futures.reserve(kTasks);
-  for (int i = 0; i < kTasks; ++i) {
-    futures.push_back(pool.Submit([&] { count.fetch_add(1); }));
-  }
-  for (auto& f : futures) f.wait();
-  EXPECT_EQ(count.load(), kTasks);
 }
 
 TEST(ThreadPoolTest, StressParallelForManyTinyChunks) {
