@@ -30,7 +30,7 @@ fi
 
 echo "== tier-1: configure + build + ctest =="
 cmake -B build -S . >/dev/null
-cmake --build build -j
+cmake --build build -j "$(nproc)"
 (cd build && ctest --output-on-failure -j "$(nproc)")
 
 if [[ "${SKIP_TSAN:-0}" == "1" ]]; then
@@ -38,7 +38,7 @@ if [[ "${SKIP_TSAN:-0}" == "1" ]]; then
 else
   echo "== TSAN: thread_pool, lru_cache, serving, determinism, batch_invariance, nn_ops_grad, grad_mode, buffer_pool, checkpoint =="
   cmake -B build-tsan -S . -DSANITIZE=thread >/dev/null
-  cmake --build build-tsan -j --target thread_pool_test \
+  cmake --build build-tsan -j "$(nproc)" --target thread_pool_test \
     --target lru_cache_test --target serving_test \
     --target parallel_determinism_test --target batch_invariance_test \
     --target nn_ops_grad_test \
@@ -72,7 +72,7 @@ else
   # Deterministic seeds (the suites' built-in defaults) keep this stage
   # bounded and reproducible; scripts/fuzz.sh is the open-ended long run.
   cmake -B build-asan -S . -DSANITIZE=address >/dev/null
-  cmake --build build-asan -j --target fuzz_stress_test \
+  cmake --build build-asan -j "$(nproc)" --target fuzz_stress_test \
     --target fuzz_regression_test
   ASAN_OPTIONS="halt_on_error=1 ${ASAN_OPTIONS:-}" \
     ./build-asan/tests/fuzz_regression_test
@@ -82,7 +82,7 @@ else
   # ReloadModel/InvalidateCache, and three tenants racing per-tenant
   # reloads plus a mid-drill deregistration, with the fuzz stream as input.
   cmake -B build-tsan -S . -DSANITIZE=thread >/dev/null
-  cmake --build build-tsan -j --target fuzz_stress_test
+  cmake --build build-tsan -j "$(nproc)" --target fuzz_stress_test
   PREQR_NUM_THREADS=8 TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}" \
     ./build-tsan/tests/fuzz_stress_test
 fi
@@ -98,7 +98,7 @@ else
   # loopback server — ending with a schema check of the emitted JSON,
   # per-tenant rows included.
   cmake -B build-tsan -S . -DSANITIZE=thread >/dev/null
-  cmake --build build-tsan -j --target serving_api_test \
+  cmake --build build-tsan -j "$(nproc)" --target serving_api_test \
     --target tenant_test --target server_test --target bench_serving_load
   PREQR_NUM_THREADS=8 TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}" \
     ./build-tsan/tests/serving_api_test
@@ -154,7 +154,7 @@ else
   # math: the kernels, the saturating deadline arithmetic and the
   # percentile bounds must be UB-free.
   cmake -B build-ubsan -S . -DSANITIZE=undefined >/dev/null
-  cmake --build build-ubsan -j --target kernel_dispatch_test \
+  cmake --build build-ubsan -j "$(nproc)" --target kernel_dispatch_test \
     --target serving_test --target fuzz_stress_test
   UBSAN_OPTIONS="halt_on_error=1 print_stacktrace=1 ${UBSAN_OPTIONS:-}" \
     ./build-ubsan/tests/kernel_dispatch_test
@@ -175,7 +175,7 @@ else
   # planner suite (join-graph validation statuses included), and the db
   # suite the executor split must not disturb.
   cmake -B build-asan -S . -DSANITIZE=address >/dev/null
-  cmake --build build-asan -j --target planner_test \
+  cmake --build build-asan -j "$(nproc)" --target planner_test \
     --target executor_golden_test --target db_test
   ASAN_OPTIONS="halt_on_error=1 ${ASAN_OPTIONS:-}" \
     ./build-asan/tests/executor_golden_test
@@ -216,7 +216,7 @@ fi
 if [[ "${SKIP_POOL_DEBUG:-0}" != "1" ]]; then
   echo "== POOL_DEBUG: NaN-poisoned buffer recycling =="
   cmake -B build-pooldebug -S . -DPREQR_POOL_DEBUG=ON >/dev/null
-  cmake --build build-pooldebug -j --target nn_tensor_test \
+  cmake --build build-pooldebug -j "$(nproc)" --target nn_tensor_test \
     --target nn_ops_grad_test --target grad_mode_test \
     --target buffer_pool_test --target serving_test \
     --target batch_invariance_test

@@ -88,7 +88,6 @@ void ThreadPool::ParallelFor(int64_t begin, int64_t end, int64_t grain,
     std::mutex mu;
     std::condition_variable done_cv;
     int64_t chunks_done = 0;
-    int runners_active = 0;
     std::exception_ptr error;
   };
   auto work = std::make_shared<Work>();
@@ -113,28 +112,26 @@ void ThreadPool::ParallelFor(int64_t begin, int64_t end, int64_t grain,
       }
       ++finished;
     }
-    std::lock_guard<std::mutex> lock(w->mu);
-    w->chunks_done += finished;
-    if (err && !w->error) w->error = err;
+    {
+      std::lock_guard<std::mutex> lock(w->mu);
+      w->chunks_done += finished;
+      if (err && !w->error) w->error = err;
+    }
+    w->done_cv.notify_one();
   };
 
   // One helper task per worker, capped by the chunk count; the caller also
   // participates below, so tiny ranges do not pay wakeup latency for
-  // helpers that would find the queue already drained.
+  // helpers that would find the queue already drained. The caller waits
+  // for the chunks, not for the helpers: a helper that starts after the
+  // last chunk finished claims nothing and never touches `fn`, and the
+  // shared Work block outlives it.
   const int helpers = static_cast<int>(std::min<int64_t>(
       static_cast<int64_t>(workers_.size()), work->nchunks - 1));
   {
     std::lock_guard<std::mutex> lock(mu_);
     for (int i = 0; i < helpers; ++i) {
-      ++work->runners_active;
-      queue_.emplace_back([work, run_chunks] {
-        run_chunks(work);
-        {
-          std::lock_guard<std::mutex> inner(work->mu);
-          --work->runners_active;
-        }
-        work->done_cv.notify_one();
-      });
+      queue_.emplace_back([work, run_chunks] { run_chunks(work); });
     }
   }
   cv_.notify_all();
@@ -145,9 +142,8 @@ void ThreadPool::ParallelFor(int64_t begin, int64_t end, int64_t grain,
 
   {
     std::unique_lock<std::mutex> lock(work->mu);
-    work->done_cv.wait(lock, [&] {
-      return work->chunks_done >= work->nchunks && work->runners_active == 0;
-    });
+    work->done_cv.wait(lock,
+                       [&] { return work->chunks_done >= work->nchunks; });
     if (work->error) std::rethrow_exception(work->error);
   }
 }

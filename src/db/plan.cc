@@ -127,12 +127,46 @@ bool RowPasses(const Table& table, int col, const Predicate& pred, size_t row,
   }
 }
 
+// Binds every FROM-clause table occurrence, in FROM order.
+Status BindTables(const Database& db, const SelectStatement& stmt,
+                  std::vector<Binding>* bindings) {
+  for (const auto& tref : stmt.tables) {
+    const Table* table = db.FindTable(tref.table);
+    if (table == nullptr) {
+      return Status::NotFound("unknown table: " + tref.table);
+    }
+    Binding b;
+    b.name = tref.BindingName();
+    b.table = table;
+    bindings->push_back(std::move(b));
+  }
+  if (bindings->empty()) return Status::InvalidArgument("no tables");
+  return Status();
+}
+
+// Resolves a join predicate to an equi-join edge between two bindings.
+Status ResolveJoinEdge(const std::vector<Binding>& bindings,
+                       const Predicate& pred, JoinEdge* e) {
+  if (!ResolveColumn(bindings, pred.lhs, &e->a, &e->col_a) ||
+      !ResolveColumn(bindings, pred.rhs_column, &e->b, &e->col_b)) {
+    return Status::NotFound("cannot resolve join columns for " +
+                            pred.lhs.ToString());
+  }
+  if (pred.op != CompareOp::kEq) {
+    return Status::InvalidArgument("only equi-joins are supported");
+  }
+  return Status();
+}
+
 // The join graph must be a spanning tree over the bindings: no self-loops,
 // exactly n-1 equi-join edges, every binding reachable. Anything else used
 // to be silently mis-executed (self-joins on a single table occurrence) or
-// caught late; now it is a uniform kInvalidArgument.
-Status ValidateJoinGraph(size_t num_tables,
+// caught late; now it is a uniform kInvalidArgument. Both endpoints of
+// every edge must be integer columns: any plan root turns some join
+// column into a hash key, and the keys are int64.
+Status ValidateJoinGraph(const std::vector<Binding>& bindings,
                          const std::vector<JoinEdge>& joins) {
+  const size_t num_tables = bindings.size();
   for (const auto& e : joins) {
     if (e.a == e.b) {
       return Status::InvalidArgument(
@@ -167,6 +201,14 @@ Status ValidateJoinGraph(size_t num_tables,
   for (char v : visited) {
     if (v == 0) return Status::InvalidArgument("join graph is disconnected");
   }
+  for (const auto& e : joins) {
+    if (bindings[static_cast<size_t>(e.a)].table->column(e.col_a).type !=
+            ColumnType::kInt ||
+        bindings[static_cast<size_t>(e.b)].table->column(e.col_b).type !=
+            ColumnType::kInt) {
+      return Status::InvalidArgument("join columns must be integers");
+    }
+  }
   return Status();
 }
 
@@ -188,26 +230,26 @@ std::unique_ptr<PlanNode> BuildPlanFrom(const BoundQuery& bq,
                                         const std::vector<std::vector<int>>& adj,
                                         std::vector<char>& visited, int root) {
   visited[static_cast<size_t>(root)] = 1;
-  std::vector<HashJoinNode::Input> inputs;
+  std::vector<PlanNode::Input> inputs;
   for (int ei : adj[static_cast<size_t>(root)]) {
     const JoinEdge& e = bq.joins[static_cast<size_t>(ei)];
     const int other = e.a == root ? e.b : e.a;
     if (visited[static_cast<size_t>(other)] != 0) continue;
-    HashJoinNode::Input in;
+    PlanNode::Input in;
     in.probe_col = e.a == root ? e.col_a : e.col_b;
     in.build_col = e.a == root ? e.col_b : e.col_a;
     in.child = BuildPlanFrom(bq, adj, visited, other);
     inputs.push_back(std::move(in));
   }
-  if (inputs.empty()) return std::make_unique<ScanNode>(root);
-  return std::make_unique<HashJoinNode>(root, std::move(inputs));
+  return std::make_unique<PlanNode>(root, std::move(inputs));
 }
 
 // Exact cardinality of the join restricted to the bindings in `in_subset`
-// (which must induce a connected subtree containing `root`).
-double CountSubset(const BoundQuery& bq, const std::vector<char>& in_subset,
-                   int root) {
-  const auto adj = BuildAdjacency(bq);
+// (which must induce a connected subtree containing `root`); `adj` is
+// BuildAdjacency(bq).
+double CountSubset(const BoundQuery& bq,
+                   const std::vector<std::vector<int>>& adj,
+                   const std::vector<char>& in_subset, int root) {
   std::vector<char> visited(bq.bindings.size(), 0);
   for (size_t i = 0; i < visited.size(); ++i) {
     visited[i] = in_subset[i] != 0 ? 0 : 1;
@@ -216,6 +258,40 @@ double CountSubset(const BoundQuery& bq, const std::vector<char>& in_subset,
   ExecResult scratch;
   plan->ExecuteRoot(bq, /*collect_root_rows=*/false, &scratch);
   return scratch.cardinality;
+}
+
+// Runs a node's inputs (post-order, in input order, adding their work to
+// *cost), then calls emit(row, weight) for every filtered row of `binding`
+// whose weight product over the inputs is positive. ExecuteUp and
+// ExecuteRoot differ only in what they do with each (row, weight).
+template <typename Emit>
+void ForEachJoinedRow(const BoundQuery& bq, int binding,
+                      const std::vector<PlanNode::Input>& inputs,
+                      double* cost, Emit&& emit) {
+  const Binding& b = bq.bindings[static_cast<size_t>(binding)];
+  struct ChildMap {
+    const std::vector<int64_t>* probe_keys;  // this binding's join column
+    std::unordered_map<int64_t, double> weights;
+  };
+  std::vector<ChildMap> children;
+  children.reserve(inputs.size());
+  for (const auto& in : inputs) {
+    children.push_back({&b.table->column(in.probe_col).ints,
+                        in.child->ExecuteUp(bq, in.build_col, cost)});
+  }
+  for (size_t row = 0; row < b.pass.size(); ++row) {
+    if (b.pass[row] == 0) continue;
+    double w = 1.0;
+    for (const auto& cm : children) {
+      auto it = cm.weights.find((*cm.probe_keys)[row]);
+      if (it == cm.weights.end()) {
+        w = 0.0;
+        break;
+      }
+      w *= it->second;
+    }
+    if (w > 0.0) emit(row, w);
+  }
 }
 
 }  // namespace
@@ -251,33 +327,15 @@ bool PredicatePasses(const Table& table, int col, const Predicate& pred,
 Result<BoundQuery> BindQuery(const Database& db, const SelectStatement& stmt,
                              const SubqueryExecFn& exec_subquery) {
   BoundQuery bq;
-
-  // Bind tables.
-  for (const auto& tref : stmt.tables) {
-    const Table* table = db.FindTable(tref.table);
-    if (table == nullptr) {
-      return Status::NotFound("unknown table: " + tref.table);
-    }
-    Binding b;
-    b.name = tref.BindingName();
-    b.table = table;
-    bq.bindings.push_back(std::move(b));
-  }
-  if (bq.bindings.empty()) return Status::InvalidArgument("no tables");
+  if (Status s = BindTables(db, stmt, &bq.bindings); !s.ok()) return s;
 
   // Classify predicates; evaluate IN-subqueries up front (their execution
   // cost accrues here, in predicate order, before any scan cost).
-  for (size_t pi = 0; pi < stmt.predicates.size(); ++pi) {
-    const Predicate& pred = stmt.predicates[pi];
+  for (const Predicate& pred : stmt.predicates) {
     if (pred.IsJoin()) {
       JoinEdge e;
-      if (!ResolveColumn(bq.bindings, pred.lhs, &e.a, &e.col_a) ||
-          !ResolveColumn(bq.bindings, pred.rhs_column, &e.b, &e.col_b)) {
-        return Status::NotFound("cannot resolve join columns for " +
-                                pred.lhs.ToString());
-      }
-      if (pred.op != CompareOp::kEq) {
-        return Status::InvalidArgument("only equi-joins are supported");
+      if (Status s = ResolveJoinEdge(bq.bindings, pred, &e); !s.ok()) {
+        return s;
       }
       bq.joins.push_back(e);
       continue;
@@ -326,9 +384,7 @@ Result<BoundQuery> BindQuery(const Database& db, const SelectStatement& stmt,
     bq.bindings[static_cast<size_t>(bi)].filters.push_back(filter);
   }
 
-  if (Status s = ValidateJoinGraph(bq.bindings.size(), bq.joins); !s.ok()) {
-    return s;
-  }
+  if (Status s = ValidateJoinGraph(bq.bindings, bq.joins); !s.ok()) return s;
 
   // Per-table filter bitmaps; scanning cost.
   for (auto& b : bq.bindings) {
@@ -354,20 +410,17 @@ Result<BoundQuery> BindQuery(const Database& db, const SelectStatement& stmt,
   return bq;
 }
 
-std::unordered_map<int64_t, double> ScanNode::ExecuteUp(const BoundQuery& bq,
+std::unordered_map<int64_t, double> PlanNode::ExecuteUp(const BoundQuery& bq,
                                                         int key_col,
                                                         double* cost) {
-  const Binding& b = bq.bindings[static_cast<size_t>(binding_)];
+  const std::vector<int64_t>& keys =
+      bq.bindings[static_cast<size_t>(binding_)].table->column(key_col).ints;
   std::unordered_map<int64_t, double> out;
-  const Column& key_column = b.table->column(key_col);
-  PREQR_CHECK(key_column.type == ColumnType::kInt);
   double subtree_size = 0;
-  for (size_t row = 0; row < b.pass.size(); ++row) {
-    if (b.pass[row] == 0) continue;
-    const double w = 1.0;
-    out[key_column.ints[row]] += w;
+  ForEachJoinedRow(bq, binding_, inputs_, cost, [&](size_t row, double w) {
+    out[keys[row]] += w;
     subtree_size += w;
-  }
+  });
   // Hash build + intermediate size contribute to cost.
   const double contribution =
       static_cast<double>(out.size()) + subtree_size;
@@ -378,115 +431,16 @@ std::unordered_map<int64_t, double> ScanNode::ExecuteUp(const BoundQuery& bq,
   return out;
 }
 
-void ScanNode::ExecuteRoot(const BoundQuery& bq, bool collect_root_rows,
+void PlanNode::ExecuteRoot(const BoundQuery& bq, bool collect_root_rows,
                            ExecResult* result) {
-  const Binding& b = bq.bindings[static_cast<size_t>(binding_)];
-  double count = 0;
-  for (size_t row = 0; row < b.pass.size(); ++row) {
-    if (b.pass[row] != 0) {
-      count += 1;
-      if (collect_root_rows) {
-        result->root_row_ids.push_back(static_cast<int>(row));
-      }
-    }
-  }
-  result->cardinality = count;
-  const double emit = count * 0.1;
-  result->cost += emit;
-  stats_.out_rows = count;
-  stats_.build_entries = 0;
-  stats_.cost = emit;
-}
-
-std::unordered_map<int64_t, double> HashJoinNode::ExecuteUp(
-    const BoundQuery& bq, int key_col, double* cost) {
-  const Binding& b = bq.bindings[static_cast<size_t>(binding_)];
-  // Gather child maps first (post-order, in edge-discovery order).
-  struct ChildMap {
-    int col;  // this node's join column toward the child
-    std::unordered_map<int64_t, double> weights;
-  };
-  std::vector<ChildMap> children;
-  children.reserve(inputs_.size());
-  for (auto& in : inputs_) {
-    ChildMap cm;
-    cm.col = in.probe_col;
-    cm.weights = in.child->ExecuteUp(bq, in.build_col, cost);
-    children.push_back(std::move(cm));
-  }
-  // Aggregate this node's rows by its parent-join column.
-  std::unordered_map<int64_t, double> out;
-  const Column& key_column = b.table->column(key_col);
-  PREQR_CHECK(key_column.type == ColumnType::kInt);
-  double subtree_size = 0;
-  for (size_t row = 0; row < b.pass.size(); ++row) {
-    if (b.pass[row] == 0) continue;
-    double w = 1.0;
-    for (const auto& cm : children) {
-      const Column& ccol = b.table->column(cm.col);
-      const int64_t key = ccol.type == ColumnType::kInt
-                              ? ccol.ints[row]
-                              : static_cast<int64_t>(ccol.AsDouble(row));
-      auto it = cm.weights.find(key);
-      if (it == cm.weights.end()) {
-        w = 0.0;
-        break;
-      }
-      w *= it->second;
-    }
-    if (w > 0.0) {
-      out[key_column.ints[row]] += w;
-      subtree_size += w;
-    }
-  }
-  // Hash build + intermediate size contribute to cost.
-  const double contribution =
-      static_cast<double>(out.size()) + subtree_size;
-  *cost += contribution;
-  stats_.out_rows = subtree_size;
-  stats_.build_entries = static_cast<double>(out.size());
-  stats_.cost = contribution;
-  return out;
-}
-
-void HashJoinNode::ExecuteRoot(const BoundQuery& bq, bool collect_root_rows,
-                               ExecResult* result) {
-  const Binding& b = bq.bindings[static_cast<size_t>(binding_)];
-  struct ChildMap {
-    int col;
-    std::unordered_map<int64_t, double> weights;
-  };
-  std::vector<ChildMap> children;
-  children.reserve(inputs_.size());
-  for (auto& in : inputs_) {
-    ChildMap cm;
-    cm.col = in.probe_col;
-    cm.weights = in.child->ExecuteUp(bq, in.build_col, &result->cost);
-    children.push_back(std::move(cm));
-  }
   double total = 0;
-  for (size_t row = 0; row < b.pass.size(); ++row) {
-    if (b.pass[row] == 0) continue;
-    double w = 1.0;
-    for (const auto& cm : children) {
-      const Column& ccol = b.table->column(cm.col);
-      const int64_t key = ccol.type == ColumnType::kInt
-                              ? ccol.ints[row]
-                              : static_cast<int64_t>(ccol.AsDouble(row));
-      auto it = cm.weights.find(key);
-      if (it == cm.weights.end()) {
-        w = 0.0;
-        break;
-      }
-      w *= it->second;
-    }
-    if (w > 0.0) {
-      total += w;
-      if (collect_root_rows) {
-        result->root_row_ids.push_back(static_cast<int>(row));
-      }
-    }
-  }
+  ForEachJoinedRow(bq, binding_, inputs_, &result->cost,
+                   [&](size_t row, double w) {
+                     total += w;
+                     if (collect_root_rows) {
+                       result->root_row_ids.push_back(static_cast<int>(row));
+                     }
+                   });
   result->cardinality = total;
   const double emit = total * 0.1;
   result->cost += emit;
@@ -517,19 +471,6 @@ StatusOr<PlannedExecResult> ExecuteLeftDeep(const BoundQuery& bq,
     }
     seen[static_cast<size_t>(b)] = 1;
   }
-  // Under arbitrary orders any join column can become an aggregation key,
-  // so the default path's int-only requirement applies to both endpoints.
-  for (const JoinEdge& e : bq.joins) {
-    if (bq.bindings[static_cast<size_t>(e.a)]
-                .table->column(e.col_a)
-                .type != ColumnType::kInt ||
-        bq.bindings[static_cast<size_t>(e.b)]
-                .table->column(e.col_b)
-                .type != ColumnType::kInt) {
-      return Status::InvalidArgument(
-          "explicit join orders require integer join columns");
-    }
-  }
   // Every prefix must stay connected in the join tree.
   std::vector<char> in_prefix(n, 0);
   in_prefix[static_cast<size_t>(order[0])] = 1;
@@ -559,12 +500,13 @@ StatusOr<PlannedExecResult> ExecuteLeftDeep(const BoundQuery& bq,
   // Grow the pipeline one table at a time; each prefix cardinality is the
   // exact count over the induced subtree (counts are root-invariant, so
   // the final step equals Execute()'s cardinality bit for bit).
+  const auto adj = BuildAdjacency(bq);
   std::fill(in_prefix.begin(), in_prefix.end(), 0);
   in_prefix[static_cast<size_t>(order[0])] = 1;
   double card = bq.bindings[static_cast<size_t>(order[0])].pass_count;
   for (size_t i = 1; i < n; ++i) {
     in_prefix[static_cast<size_t>(order[i])] = 1;
-    card = CountSubset(bq, in_prefix, order[0]);
+    card = CountSubset(bq, adj, in_prefix, order[0]);
     JoinStep step;
     step.binding = order[i];
     step.build_rows = bq.bindings[static_cast<size_t>(order[i])].pass_count;
@@ -582,35 +524,16 @@ StatusOr<PlannedExecResult> ExecuteLeftDeep(const BoundQuery& bq,
 StatusOr<JoinGraph> ResolveJoinGraph(const Database& db,
                                      const SelectStatement& stmt) {
   std::vector<Binding> bindings;
-  for (const auto& tref : stmt.tables) {
-    const Table* table = db.FindTable(tref.table);
-    if (table == nullptr) {
-      return Status::NotFound("unknown table: " + tref.table);
-    }
-    Binding b;
-    b.name = tref.BindingName();
-    b.table = table;
-    bindings.push_back(std::move(b));
-  }
-  if (bindings.empty()) return Status::InvalidArgument("no tables");
+  if (Status s = BindTables(db, stmt, &bindings); !s.ok()) return s;
   JoinGraph graph;
   graph.num_tables = bindings.size();
   for (const auto& pred : stmt.predicates) {
     if (!pred.IsJoin()) continue;
     JoinEdge e;
-    if (!ResolveColumn(bindings, pred.lhs, &e.a, &e.col_a) ||
-        !ResolveColumn(bindings, pred.rhs_column, &e.b, &e.col_b)) {
-      return Status::NotFound("cannot resolve join columns for " +
-                              pred.lhs.ToString());
-    }
-    if (pred.op != CompareOp::kEq) {
-      return Status::InvalidArgument("only equi-joins are supported");
-    }
+    if (Status s = ResolveJoinEdge(bindings, pred, &e); !s.ok()) return s;
     graph.edges.push_back(e);
   }
-  if (Status s = ValidateJoinGraph(graph.num_tables, graph.edges); !s.ok()) {
-    return s;
-  }
+  if (Status s = ValidateJoinGraph(bindings, graph.edges); !s.ok()) return s;
   return graph;
 }
 

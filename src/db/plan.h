@@ -64,8 +64,9 @@ struct JoinEdge {
 // A statement bound against the database: tables resolved, predicates
 // classified into join edges and per-binding filters, IN-subqueries
 // evaluated, filter bitmaps materialized, and the join graph validated
-// (spanning tree over the bindings; self-loops, cycles and disconnected
-// components are kInvalidArgument).
+// (spanning tree over the bindings with integer join columns; self-loops,
+// cycles, disconnected components and non-integer join columns are
+// kInvalidArgument).
 struct BoundQuery {
   std::vector<Binding> bindings;
   std::vector<JoinEdge> joins;
@@ -95,55 +96,14 @@ struct PlanStats {
   double cost = 0;           // this node's own work-unit contribution
 };
 
-// A node in the (n-ary, rooted) join-tree plan. Execution is bottom-up:
+// A node in the (n-ary, rooted) join-tree plan: one filtered table
+// occurrence that probes each input's aggregated weight map (one hash join
+// per input edge). A scan is a node with no inputs. Execution is bottom-up:
 // each non-root node aggregates its subtree's qualifying combination
-// weights by the join key toward its parent; the root combines its
-// children's weight maps into the final count. Each node reports its own
-// work units and intermediate cardinality in stats().
+// weights by the join key toward its parent; the root sums them into the
+// final count. Each node reports its own work units and intermediate
+// cardinality in stats().
 class PlanNode {
- public:
-  enum class Kind { kScan, kHashJoin };
-
-  PlanNode(Kind kind, int binding) : kind_(kind), binding_(binding) {}
-  virtual ~PlanNode() = default;
-
-  Kind kind() const { return kind_; }
-  int binding() const { return binding_; }
-  const PlanStats& stats() const { return stats_; }
-  virtual size_t num_children() const = 0;
-
-  // Aggregates this subtree's qualifying combinations by `key_col` of this
-  // node's binding, adding this node's work units to *cost.
-  virtual std::unordered_map<int64_t, double> ExecuteUp(const BoundQuery& bq,
-                                                        int key_col,
-                                                        double* cost) = 0;
-
-  // Runs this node as the plan root: sets result->cardinality, appends the
-  // emission cost, and optionally collects contributing root row ids.
-  virtual void ExecuteRoot(const BoundQuery& bq, bool collect_root_rows,
-                           ExecResult* result) = 0;
-
- protected:
-  Kind kind_;
-  int binding_;
-  PlanStats stats_;
-};
-
-// Leaf: one filtered base-table occurrence.
-class ScanNode : public PlanNode {
- public:
-  explicit ScanNode(int binding) : PlanNode(Kind::kScan, binding) {}
-  size_t num_children() const override { return 0; }
-  std::unordered_map<int64_t, double> ExecuteUp(const BoundQuery& bq,
-                                                int key_col,
-                                                double* cost) override;
-  void ExecuteRoot(const BoundQuery& bq, bool collect_root_rows,
-                   ExecResult* result) override;
-};
-
-// Internal node: probes this binding's filtered rows against each child's
-// aggregated weight map (one hash join per child edge).
-class HashJoinNode : public PlanNode {
  public:
   struct Input {
     int probe_col = -1;  // this binding's column on the child edge
@@ -151,18 +111,27 @@ class HashJoinNode : public PlanNode {
     std::unique_ptr<PlanNode> child;
   };
 
-  HashJoinNode(int binding, std::vector<Input> inputs)
-      : PlanNode(Kind::kHashJoin, binding), inputs_(std::move(inputs)) {}
-  size_t num_children() const override { return inputs_.size(); }
+  PlanNode(int binding, std::vector<Input> inputs)
+      : binding_(binding), inputs_(std::move(inputs)) {}
+
+  int binding() const { return binding_; }
   const std::vector<Input>& inputs() const { return inputs_; }
+  const PlanStats& stats() const { return stats_; }
+
+  // Aggregates this subtree's qualifying combinations by `key_col` of this
+  // node's binding, adding this node's work units to *cost.
   std::unordered_map<int64_t, double> ExecuteUp(const BoundQuery& bq,
-                                                int key_col,
-                                                double* cost) override;
+                                                int key_col, double* cost);
+
+  // Runs this node as the plan root: sets result->cardinality, appends the
+  // emission cost, and optionally collects contributing root row ids.
   void ExecuteRoot(const BoundQuery& bq, bool collect_root_rows,
-                   ExecResult* result) override;
+                   ExecResult* result);
 
  private:
+  int binding_;
   std::vector<Input> inputs_;
+  PlanStats stats_;
 };
 
 // Builds the join-tree plan rooted at `root` (child order follows edge
@@ -191,8 +160,8 @@ struct PlannedExecResult {
 
 // Executes the bound query in the explicit left-deep order `order` (a
 // permutation of binding indices; every prefix must induce a connected
-// subgraph of the join tree). All join columns along the tree must be
-// integer-typed. Costs follow `cm` over the exact per-prefix cardinalities.
+// subgraph of the join tree). Costs follow `cm` over the exact per-prefix
+// cardinalities.
 StatusOr<PlannedExecResult> ExecuteLeftDeep(const BoundQuery& bq,
                                             const std::vector<int>& order,
                                             const CostModel& cm = {});
@@ -205,8 +174,9 @@ struct JoinGraph {
   std::vector<JoinEdge> edges;
 };
 
-// Resolves and validates the join graph of `stmt` (same table binding and
-// validation rules as BindQuery, minus bitmaps and subquery execution).
+// Resolves and validates the join graph of `stmt` with BindQuery's own
+// table binding, join-edge resolution and validation, minus filters,
+// bitmaps and subquery execution.
 StatusOr<JoinGraph> ResolveJoinGraph(const Database& db,
                                      const sql::SelectStatement& stmt);
 

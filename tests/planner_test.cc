@@ -3,9 +3,10 @@
 // accumulate join terms in the same left-to-right association), explicit
 // left-deep execution against the default plan's order-invariant counts,
 // the unified CardinalityEstimator contracts, and the join-graph validation
-// statuses (self-loops, cycles, disconnection) that used to be silently
-// mis-executed. The bad-join list at the bottom is a regression corpus in
-// the fuzz-corpus style: every entry stays pinned to kInvalidArgument.
+// statuses (self-loops, cycles, disconnection, non-integer join columns)
+// that used to be silently mis-executed or abort the process. The bad-join
+// list at the bottom is a regression corpus in the fuzz-corpus style: every
+// entry stays pinned to kInvalidArgument.
 #include <algorithm>
 #include <cmath>
 #include <memory>
@@ -30,6 +31,8 @@ namespace {
 // Four tables with a tree-shaped FK layout and deliberately correlated
 // columns, so different join orders produce different intermediate sizes:
 //   company_name -- movie_companies -- title -- cast_info
+// plus a kind_type dimension whose only non-key column is a string, for
+// the non-integer join case in the bad-join corpus.
 db::Database MakeDb() {
   db::Database db;
   {
@@ -37,12 +40,26 @@ db::Database MakeDb() {
     def.name = "title";
     def.columns = {{"id", sql::ColumnType::kInt, true},
                    {"production_year", sql::ColumnType::kInt, false},
-                   {"kind_id", sql::ColumnType::kInt, false}};
+                   {"kind_id", sql::ColumnType::kInt, false},
+                   {"title", sql::ColumnType::kString, false}};
     db::Table& t = db.AddTable(def);
     for (int i = 0; i < 12; ++i) {
       t.column(0).ints.push_back(i);
       t.column(1).ints.push_back(2000 + i % 6);
       t.column(2).ints.push_back(i % 3);
+      t.column(3).strings.push_back(i % 2 == 0 ? "movie" : "episode");
+    }
+    t.Seal();
+  }
+  {
+    sql::TableDef def;
+    def.name = "kind_type";
+    def.columns = {{"id", sql::ColumnType::kInt, true},
+                   {"kind", sql::ColumnType::kString, false}};
+    db::Table& t = db.AddTable(def);
+    for (int i = 0; i < 3; ++i) {
+      t.column(0).ints.push_back(i);
+      t.column(1).strings.push_back(i == 0 ? "movie" : "episode");
     }
     t.Seal();
   }
@@ -325,9 +342,8 @@ TEST(PlanNodeTest, RootedPlanReportsPerNodeStats) {
   std::unique_ptr<db::PlanNode> plan = db::BuildDefaultPlan(bound.value());
   ASSERT_NE(plan, nullptr);
   // Rooted at title: children are movie_companies and cast_info.
-  EXPECT_EQ(plan->kind(), db::PlanNode::Kind::kHashJoin);
   EXPECT_EQ(plan->binding(), 0);
-  EXPECT_EQ(plan->num_children(), 2u);
+  ASSERT_EQ(plan->inputs().size(), 2u);
 
   db::ExecResult result;
   result.cost = bound.value().bind_cost;
@@ -340,13 +356,23 @@ TEST(PlanNodeTest, RootedPlanReportsPerNodeStats) {
   EXPECT_DOUBLE_EQ(plan->stats().out_rows, result.cardinality);
   EXPECT_DOUBLE_EQ(plan->stats().cost, result.cardinality * 0.1);
 
-  const auto* root = static_cast<const db::HashJoinNode*>(plan.get());
-  for (const auto& input : root->inputs()) {
+  for (const auto& input : plan->inputs()) {
     EXPECT_GE(input.probe_col, 0);
     EXPECT_GE(input.build_col, 0);
     EXPECT_GE(input.child->stats().build_entries, 0);
     EXPECT_GT(input.child->stats().cost, 0);
   }
+  // A scan is a node with no inputs. Rooted at title, the chain plan's
+  // leaves are company_name (under movie_companies) and cast_info.
+  std::vector<const db::PlanNode*> stack = {plan.get()};
+  int leaves = 0;
+  while (!stack.empty()) {
+    const db::PlanNode* node = stack.back();
+    stack.pop_back();
+    if (node->inputs().empty()) ++leaves;
+    for (const auto& input : node->inputs()) stack.push_back(input.child.get());
+  }
+  EXPECT_EQ(leaves, 2);
 }
 
 TEST(PlanNodeTest, EveryRootYieldsTheSameCount) {
@@ -367,9 +393,10 @@ TEST(PlanNodeTest, EveryRootYieldsTheSameCount) {
 }
 
 // Fuzz-corpus-style regression list: join shapes that used to be silently
-// mis-executed (self-joins on one occurrence) or only caught deep in
-// execution now fail binding with kInvalidArgument, and the statuses stay
-// pinned here. Checked through both the executor and the planner's
+// mis-executed (self-joins on one occurrence), only caught deep in
+// execution, or aborted the process (string join columns) now fail binding
+// with kInvalidArgument, and the statuses stay pinned here. Checked through
+// Execute, ExecuteOrder (which must agree with Execute) and the planner's
 // graph-resolution path.
 TEST(JoinGraphValidationTest, BadJoinGraphCorpusStaysRejected) {
   db::Database db = MakeDb();
@@ -390,6 +417,8 @@ TEST(JoinGraphValidationTest, BadJoinGraphCorpusStaysRejected) {
        "cast_info ci WHERE t.id = mc.movie_id AND t.kind_id = mc.company_id "
        "AND cn.id = ci.person_id",
        "disconnected"},  // n-1 edges but two components
+      {"SELECT COUNT(*) FROM title t, kind_type kt WHERE t.title = kt.kind",
+       "must be integers"},  // string join columns used to abort the process
   };
   for (const Case& c : kCorpus) {
     sql::SelectStatement stmt = Parse(c.sql);
@@ -399,6 +428,13 @@ TEST(JoinGraphValidationTest, BadJoinGraphCorpusStaysRejected) {
     EXPECT_NE(res.status().message().find(c.message_fragment),
               std::string::npos)
         << c.sql << " -> " << res.status().message();
+    std::vector<int> identity(stmt.tables.size());
+    for (size_t i = 0; i < identity.size(); ++i) {
+      identity[i] = static_cast<int>(i);
+    }
+    auto ordered = exec.ExecuteOrder(stmt, identity);
+    ASSERT_FALSE(ordered.ok()) << c.sql;
+    EXPECT_EQ(ordered.status().code(), res.status().code()) << c.sql;
     auto graph = db::ResolveJoinGraph(db, stmt);
     ASSERT_FALSE(graph.ok()) << c.sql;
     EXPECT_EQ(graph.status().code(), StatusCode::kInvalidArgument) << c.sql;

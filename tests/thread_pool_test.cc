@@ -1,9 +1,12 @@
 // Tests for the fixed-size ThreadPool and its ParallelFor helper: lifecycle,
-// full index coverage, exception propagation, nested calls, and a stress run
-// with many tiny chunks.
+// full index coverage, exception propagation, nested calls, a stress run
+// with many tiny chunks, and callers not waiting on helpers that never ran.
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
+#include <future>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -109,6 +112,49 @@ TEST(ThreadPoolTest, StressParallelForManyTinyChunks) {
     });
   }
   EXPECT_EQ(sum.load(), 20 * 500);
+}
+
+// A caller waits for its chunks, not for the helpers it queued: with the
+// only worker stuck inside another call's chunk, a second ParallelFor runs
+// every chunk itself and must return while its helper is still queued.
+TEST(ThreadPoolTest, ParallelForDoesNotWaitForUnstartedHelpers) {
+  ThreadPool pool(2);
+  std::promise<void> entered_promise, release_promise;
+  std::shared_future<void> worker_entered = entered_promise.get_future();
+  std::shared_future<void> released = release_promise.get_future();
+  std::thread blocker([&] {
+    const std::thread::id caller = std::this_thread::get_id();
+    // Two chunks: whichever thread claims first waits for the other, so
+    // the worker always ends up holding one of them.
+    pool.ParallelFor(0, 2, 1, [&](int64_t, int64_t) {
+      if (std::this_thread::get_id() == caller) {
+        worker_entered.wait();
+      } else {
+        entered_promise.set_value();
+        released.wait();
+      }
+    });
+  });
+  worker_entered.wait();
+
+  std::atomic<int> count{0};
+  std::promise<void> done_promise;
+  std::future<void> done = done_promise.get_future();
+  std::thread second([&] {
+    pool.ParallelFor(0, 4, 1, [&](int64_t b, int64_t e) {
+      count.fetch_add(static_cast<int>(e - b));
+    });
+    done_promise.set_value();
+  });
+  const bool returned = done.wait_for(std::chrono::seconds(10)) ==
+                        std::future_status::ready;
+  // Release the worker before asserting, so a failure cannot hang the test.
+  release_promise.set_value();
+  second.join();
+  blocker.join();
+  EXPECT_TRUE(returned)
+      << "ParallelFor blocked on a helper the busy worker never started";
+  EXPECT_EQ(count.load(), 4);
 }
 
 TEST(ThreadPoolTest, GlobalPoolRebuild) {
