@@ -287,7 +287,7 @@ void BM_ServingColdEncode(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations());
 }
-// The encode runs on the service's dispatcher thread, so the calling
+// The encode runs on one of the service's dispatch workers, so the calling
 // thread's CPU time would undercount it: rate items by wall time.
 BENCHMARK(BM_ServingColdEncode)->UseRealTime();
 

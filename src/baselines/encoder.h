@@ -38,7 +38,7 @@ class QueryEncoder {
 
   // Batched encode: output i is identical to EncodeVector(sqls[i], train).
   // The default runs serially; encoders with a cheaper batched path (PreQR
-  // computes missing frozen prefixes across the thread pool) override.
+  // computes missing frozen prefixes as padded batches) override.
   virtual std::vector<nn::Tensor> EncodeVectorBatch(
       const std::vector<std::string>& sqls, bool train) {
     std::vector<nn::Tensor> out;

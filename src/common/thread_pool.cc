@@ -10,7 +10,8 @@ namespace preqr {
 namespace {
 
 // Set while a thread is executing pool work (either a worker thread or the
-// caller running ParallelFor chunks). Nested parallel calls run inline.
+// caller running ParallelFor chunks) or holds an InlineScope. Nested
+// parallel calls run inline.
 thread_local bool tls_in_pool_work = false;
 
 // Target number of scalar operations per ParallelFor chunk. Small enough
@@ -22,6 +23,12 @@ std::mutex g_global_mu;
 std::unique_ptr<ThreadPool> g_global_pool;
 
 }  // namespace
+
+InlineScope::InlineScope() : previous_(tls_in_pool_work) {
+  tls_in_pool_work = true;
+}
+
+InlineScope::~InlineScope() { tls_in_pool_work = previous_; }
 
 int64_t GrainForCost(int64_t cost_per_item) {
   return std::max<int64_t>(1, kGrainCost / std::max<int64_t>(1, cost_per_item));
@@ -75,7 +82,8 @@ void ThreadPool::ParallelFor(int64_t begin, int64_t end, int64_t grain,
   if (n <= 0) return;
   grain = std::max<int64_t>(1, grain);
   // Serial fast path: single-thread pool (exact legacy execution), a range
-  // that fits one chunk, or a nested call from inside pool work.
+  // that fits one chunk, or a nested call from inside pool work or an
+  // InlineScope.
   if (workers_.empty() || n <= grain || tls_in_pool_work) {
     fn(begin, end);
     return;

@@ -25,7 +25,8 @@ namespace preqr {
 //
 // Nested calls (ParallelFor from inside a pool task) run inline on the
 // current thread, so kernels stay safe when invoked from already-parallel
-// regions such as the per-example pre-training loop.
+// regions such as the per-example pre-training loop. A thread inside an
+// InlineScope runs its ParallelFor calls inline the same way.
 class ThreadPool {
  public:
   // num_threads <= 0 selects DefaultNumThreads(). The pool owns
@@ -64,6 +65,25 @@ class ThreadPool {
   std::mutex mu_;
   std::condition_variable cv_;
   bool stop_ = false;
+};
+
+// While alive, every ParallelFor issued on the constructing thread (on any
+// pool) runs all of its chunks inline on that thread, exactly like a nested
+// call. Threads that already own a whole unit of work (a serving dispatch
+// worker, an inference encode) use it so they never fan out per kernel;
+// parallelism comes from running several of them at once. Scopes nest and
+// restore the previous state; results are unchanged, because every kernel
+// is chunk-invariant (see the determinism contract above).
+class InlineScope {
+ public:
+  InlineScope();
+  ~InlineScope();
+
+  InlineScope(const InlineScope&) = delete;
+  InlineScope& operator=(const InlineScope&) = delete;
+
+ private:
+  bool previous_;
 };
 
 // Convenience wrapper over ThreadPool::Global().ParallelFor.

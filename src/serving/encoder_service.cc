@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/check.h"
+#include "common/thread_pool.h"
 #include "nn/serialize.h"
 
 namespace preqr::serving {
@@ -52,7 +53,19 @@ EncoderService::EncoderService(EncoderServiceOptions options)
   const size_t reserve =
       options.priority_reserve > 0 ? options.priority_reserve : cap / 4;
   admit_watermark_ = reserve >= cap ? 0 : cap - reserve;
-  dispatcher_ = std::thread([this] { DispatchLoop(); });
+  // One worker per pool thread: the cores the kernels would have fanned
+  // out over now each encode a whole tenant batch.
+  const int workers = ThreadPool::Global().num_threads();
+  metrics_.dispatch_workers.Set(workers);
+  workers_.reserve(static_cast<size_t>(workers));
+  try {
+    for (int i = 0; i < workers; ++i) {
+      workers_.emplace_back([this] { DispatchLoop(); });
+    }
+  } catch (...) {
+    StopWorkers();  // a thread failed to start: join the ones that did
+    throw;
+  }
 }
 
 EncoderService::EncoderService(baselines::QueryEncoder* encoder,
@@ -63,13 +76,15 @@ EncoderService::EncoderService(baselines::QueryEncoder* encoder,
   PREQR_CHECK(RegisterTenant(kDefaultTenantId, encoder).ok());
 }
 
-EncoderService::~EncoderService() {
+EncoderService::~EncoderService() { StopWorkers(); }
+
+void EncoderService::StopWorkers() {
   {
     std::lock_guard<std::mutex> lock(queue_mu_);
     stopping_ = true;
   }
   queue_cv_.notify_all();
-  dispatcher_.join();
+  for (auto& worker : workers_) worker.join();
 }
 
 Status EncoderService::RegisterTenant(const std::string& tenant_id,
@@ -321,119 +336,136 @@ StatusOr<nn::Tensor> EncoderService::Encode(const std::string& sql) {
   return std::move(response.value().embedding);
 }
 
+EncoderService::TenantPtr EncoderService::OldestFreeTenant() const {
+  for (size_t i = 0; i < ring_.size(); ++i) {
+    const TenantPtr& tenant = ring_.Peek(i)->tenant;
+    if (tenant->inflight == 0) return tenant;
+  }
+  return nullptr;
+}
+
+void EncoderService::Dequeued(const Pending& p) {
+  metrics_.queue_depth.Decrement();
+  --p.tenant->queued;
+  auto it = queued_per_client_.find(p.client_id);
+  if (it != queued_per_client_.end() && --it->second == 0) {
+    queued_per_client_.erase(it);
+  }
+}
+
+std::vector<std::shared_ptr<EncoderService::Pending>>
+EncoderService::PopTenantBatch(const Tenant& tenant, Clock::time_point now) {
+  std::vector<std::shared_ptr<Pending>> batch;
+  const size_t max_batch = static_cast<size_t>(options_.max_batch_size);
+  ring_.RemoveIf([&](std::shared_ptr<Pending>& p) {
+    // Deadline propagation into the micro-batcher: expired requests are
+    // dropped here, before encoding, not discovered afterwards — a busy
+    // tenant's included, whenever a worker passes them.
+    if (p->deadline <= now) {
+      Dequeued(*p);
+      metrics_.deadline_dropped.Increment();
+      p->promise.set_value(
+          Status::DeadlineExceeded("deadline expired while queued"));
+      return true;
+    }
+    if (p->tenant.get() != &tenant || batch.size() >= max_batch) return false;
+    Dequeued(*p);
+    batch.push_back(std::move(p));
+    return true;
+  });
+  return batch;
+}
+
 void EncoderService::DispatchLoop() {
+  // This worker owns whole batches: its kernels never fan out, the other
+  // workers run the other tenants' batches at the same time.
+  InlineScope inline_kernels;
+  const size_t max_batch = static_cast<size_t>(options_.max_batch_size);
   for (;;) {
-    // One pop's worth of work, grouped by tenant in first-seen order: each
-    // group becomes one single-tenant encoder batch.
-    std::vector<std::pair<TenantPtr, std::vector<std::shared_ptr<Pending>>>>
-        groups;
+    TenantPtr tenant;
+    std::vector<std::shared_ptr<Pending>> batch;
     Clock::time_point popped_at;
-    size_t popped = 0;
     {
       std::unique_lock<std::mutex> lock(queue_mu_);
-      queue_cv_.wait(lock, [&] { return stopping_ || !ring_.empty(); });
+      queue_cv_.wait(lock, [&] {
+        return stopping_ || (tenant = OldestFreeTenant()) != nullptr;
+      });
       if (stopping_) {
         // Fail whatever is still queued; nobody blocks on a dead service.
         std::shared_ptr<Pending> p;
         while (ring_.TryPop(&p)) {
-          metrics_.queue_depth.Decrement();
-          --p->tenant->queued;
+          Dequeued(*p);
           metrics_.rejected_on_shutdown.Increment();
           p->promise.set_value(
               Status::Unavailable("encoder service destroyed"));
         }
         return;
       }
-      if (options_.batch_window.count() > 0 &&
-          ring_.size() < static_cast<size_t>(options_.max_batch_size)) {
-        // Wait for the batch to fill, but never past the earliest queued
-        // deadline — an expired request must be dropped, not slept over.
+      // Claim the tenant while still under the lock: no other worker pops
+      // its requests until EndCall, and a drain started now waits for this
+      // batch too.
+      ++tenant->inflight;
+      if (options_.batch_window.count() > 0 && tenant->queued < max_batch) {
+        // Wait for the tenant's batch to fill, but never past its earliest
+        // queued deadline — an expired request must be dropped, not slept
+        // over.
         auto wake = Clock::now() + options_.batch_window;
         for (size_t i = 0; i < ring_.size(); ++i) {
-          wake = std::min(wake, ring_.Peek(i)->deadline);
+          const Pending& p = *ring_.Peek(i);
+          if (p.tenant == tenant) wake = std::min(wake, p.deadline);
         }
         queue_cv_.wait_until(lock, wake, [&] {
-          return stopping_ ||
-                 ring_.size() >= static_cast<size_t>(options_.max_batch_size);
+          return stopping_ || tenant->queued >= max_batch;
         });
-        if (stopping_) continue;  // top of loop fails the queue
+        if (stopping_) {
+          --tenant->inflight;
+          continue;  // top of loop fails the queue
+        }
       }
       popped_at = Clock::now();
-      std::shared_ptr<Pending> p;
-      while (popped < static_cast<size_t>(options_.max_batch_size) &&
-             ring_.TryPop(&p)) {
-        metrics_.queue_depth.Decrement();
-        --p->tenant->queued;
-        auto it = queued_per_client_.find(p->client_id);
-        if (it != queued_per_client_.end() && --it->second == 0) {
-          queued_per_client_.erase(it);
-        }
-        // Deadline propagation into the micro-batcher: expired requests
-        // are dropped here, before encoding, not discovered afterwards.
-        if (p->deadline <= popped_at) {
-          metrics_.deadline_dropped.Increment();
-          p->promise.set_value(
-              Status::DeadlineExceeded("deadline expired while queued"));
-          continue;
-        }
-        ++popped;
-        auto group = std::find_if(groups.begin(), groups.end(), [&](auto& g) {
-          return g.first == p->tenant;
-        });
-        if (group == groups.end()) {
-          groups.emplace_back(p->tenant,
-                              std::vector<std::shared_ptr<Pending>>{});
-          group = std::prev(groups.end());
-        }
-        group->second.push_back(std::move(p));
-      }
-      if (groups.empty()) {
-        if (ring_.empty()) {
-          lock.unlock();
-          queue_cv_.notify_all();  // a drain may be waiting for empty
-        }
+      batch = PopTenantBatch(*tenant, popped_at);
+      if (batch.empty()) {
+        // Everything it had queued expired: release the claim and wake the
+        // drains and workers that wait on it.
+        --tenant->inflight;
+        lock.unlock();
+        queue_cv_.notify_all();
         continue;
       }
-      // Mark every popped tenant in-flight while still under the lock, so
-      // a drain started now waits for these batches too.
-      for (auto& [tenant, batch] : groups) ++tenant->inflight;
     }
-    for (auto& [tenant, batch] : groups) {
-      std::vector<std::string> sqls;
-      sqls.reserve(batch.size());
-      for (const auto& p : batch) sqls.push_back(p->sql);
-      const auto encode_t0 = Clock::now();
-      auto results = EncodeLocked(*tenant, sqls);
-      const double encode_us = ElapsedUs(encode_t0);
-      metrics_.batches.Increment();
-      metrics_.batch_size.Observe(static_cast<double>(batch.size()));
-      metrics_.batch_occupancy_pct.Observe(
-          100.0 * static_cast<double>(batch.size()) /
-          static_cast<double>(options_.max_batch_size));
-      metrics_.batched_queries.Increment(batch.size());
-      for (size_t i = 0; i < batch.size(); ++i) {
-        const double queue_us = ElapsedUs(batch[i]->enqueued_at, popped_at);
-        metrics_.queue_latency_us.Observe(queue_us);
-        metrics_.encode_latency_us.Observe(ElapsedUs(batch[i]->enqueued_at));
-        if (!results[i].ok()) {
-          metrics_.errors.Increment();
-          tenant->metrics->errors.Increment();
-          batch[i]->promise.set_value(results[i].status());
-          continue;
-        }
-        EncodeResponse response;
-        response.embedding = std::move(results[i].value());
-        response.tenant_id = tenant->id;
-        response.cache_hit = false;
-        response.queue_us = queue_us;
-        response.encode_us = encode_us;
-        batch[i]->promise.set_value(std::move(response));
+    std::vector<std::string> sqls;
+    sqls.reserve(batch.size());
+    for (const auto& p : batch) sqls.push_back(p->sql);
+    const auto encode_t0 = Clock::now();
+    auto results = EncodeLocked(*tenant, sqls);
+    const double encode_us = ElapsedUs(encode_t0);
+    metrics_.batches.Increment();
+    metrics_.batch_size.Observe(static_cast<double>(batch.size()));
+    metrics_.batch_occupancy_pct.Observe(
+        100.0 * static_cast<double>(batch.size()) /
+        static_cast<double>(options_.max_batch_size));
+    metrics_.batched_queries.Increment(batch.size());
+    for (size_t i = 0; i < batch.size(); ++i) {
+      const double queue_us = ElapsedUs(batch[i]->enqueued_at, popped_at);
+      metrics_.queue_latency_us.Observe(queue_us);
+      metrics_.encode_latency_us.Observe(ElapsedUs(batch[i]->enqueued_at));
+      if (!results[i].ok()) {
+        metrics_.errors.Increment();
+        tenant->metrics->errors.Increment();
+        batch[i]->promise.set_value(results[i].status());
+        continue;
       }
-      // Per-tenant drains watch inflight; wake them after every group, not
-      // only at the end of the pop, so a reload of tenant A is not held
-      // hostage by tenant B's longer batch.
-      EndCall(*tenant);
+      EncodeResponse response;
+      response.embedding = std::move(results[i].value());
+      response.tenant_id = tenant->id;
+      response.cache_hit = false;
+      response.queue_us = queue_us;
+      response.encode_us = encode_us;
+      batch[i]->promise.set_value(std::move(response));
     }
+    // Releases the claim: wakes the tenant's drains and the workers that
+    // skipped its newer requests while this batch ran.
+    EndCall(*tenant);
   }
 }
 
@@ -658,7 +690,7 @@ Status EncoderService::ReloadModel(const std::string& tenant_id,
     // encode mutex still guards against the synchronous EncodeBatch path,
     // so no batch ever sees half-new weights and no stale result can be
     // cached after the swap. The model check lives here too: taking
-    // encode_mu before the drain would deadlock against a dispatcher
+    // encode_mu before the drain would deadlock against a dispatch worker
     // mid-encode on this tenant.
     std::lock_guard<std::mutex> lock(tenant->encode_mu);
     if (tenant->model == nullptr) {

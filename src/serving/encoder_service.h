@@ -65,8 +65,9 @@ struct EncodeRequest {
   // any cache partition is probed.
   std::string tenant_id;
   // Requests whose deadline passes before encoding starts fail with
-  // kDeadlineExceeded — on arrival if already expired, or dropped by the
-  // dispatcher while queued. Work that already started is always delivered.
+  // kDeadlineExceeded — on arrival if already expired, or dropped by a
+  // dispatch worker while queued. Work that already started is always
+  // delivered.
   DeadlineClock::time_point deadline = kNoDeadline;
   // Admission-control key: each client id gets an equal share of the
   // request ring ("" is the shared anonymous bucket).
@@ -82,7 +83,7 @@ struct EncodeResponse {
   nn::Tensor embedding;
   std::string tenant_id;   // the tenant that served it ("" = default)
   bool cache_hit = false;
-  double queue_us = 0.0;   // admission -> dispatcher pop (0 for cache hits)
+  double queue_us = 0.0;   // admission -> worker pop (0 for cache hits)
   double encode_us = 0.0;  // micro-batch encode time (0 for cache hits)
 };
 
@@ -94,10 +95,11 @@ struct EncoderServiceOptions {
   int cache_shards = 8;
   // Most queries one dispatched micro-batch may carry.
   int max_batch_size = 64;
-  // How long the dispatcher waits for more requests to arrive before
-  // handing a non-full batch to the encoder. 0 dispatches whatever is
-  // queued immediately — requests that arrive while an earlier batch is
-  // encoding still coalesce, which is the common case under load.
+  // How long a dispatch worker that picked a tenant waits for more of that
+  // tenant's requests before handing a non-full batch to its encoder. 0
+  // dispatches whatever is queued immediately — requests that arrive while
+  // the tenant's earlier batch is encoding still coalesce, which is the
+  // common case under load.
   std::chrono::microseconds batch_window{0};
   // Bounded request ring (rounded up to a power of two), shared by all
   // tenants. A full ring sheds with kResourceExhausted instead of queueing
@@ -132,11 +134,15 @@ struct EncoderServiceOptions {
 //    tenants never shares an entry; hits return a detached copy without
 //    touching the encoder.
 //  * Misses are admitted onto a bounded ring (shared across tenants) and
-//    dispatched by a background thread in micro-batches through
-//    TryEncodeVectorBatch, grouped by tenant — one tenant's batch only ever
-//    contains that tenant's queries. A tenant's encoder only ever sees one
-//    call at a time, so encoders that are not themselves thread-safe are
-//    safe behind the service.
+//    dispatched in micro-batches through TryEncodeVectorBatch by K dispatch
+//    workers, K = the global thread pool's size at construction
+//    (PREQR_NUM_THREADS=1 gives one). A worker takes the oldest queued
+//    tenant that has no batch in flight, pops up to max_batch_size of that
+//    tenant's requests (in FIFO order, leaving everyone else's queued), and
+//    encodes the batch start to finish with its kernels inline — the
+//    parallelism is across tenant batches, not inside one GEMM. A tenant's
+//    encoder only ever sees one call at a time, so encoders that are not
+//    themselves thread-safe are safe behind the service.
 //  * Error contract (canonical codes): malformed SQL -> kParseError /
 //    kInvalidArgument; unknown tenant -> kNotFound (before the cache
 //    probe); expired deadline -> kDeadlineExceeded; shed by admission
@@ -155,7 +161,7 @@ class EncoderService {
   // kNotFound until RegisterTenant is called.
   explicit EncoderService(EncoderServiceOptions options);
   // Fails every request still queued with kUnavailable, then joins the
-  // dispatcher.
+  // dispatch workers (a batch already encoding is delivered first).
   ~EncoderService();
 
   // --- Tenant lifecycle (safe under concurrent traffic) -------------------
@@ -231,8 +237,8 @@ class EncoderService {
   Status ReloadModel(const std::string& path);
   // Hot model reload (the paper's incremental-update loop, Table 5) for
   // one tenant, with a graceful per-tenant drain: new admissions for this
-  // tenant park (they are never dropped), the dispatcher finishes
-  // everything the tenant already queued, then the swap runs under the
+  // tenant park (they are never dropped), the workers finish everything
+  // the tenant already queued, then the swap runs under the
   // tenant's encode mutex and its stale cache partition is cleared before
   // the parked requests proceed against the new weights. Other tenants
   // keep encoding throughout. On failure (missing/corrupt file,
@@ -273,9 +279,11 @@ class EncoderService {
     nn::Module* model;                       // non-owned; guarded by encode_mu
     ShardedLruCache<std::string, nn::Tensor> cache;
     std::shared_ptr<TenantMetrics> metrics;
-    // Serializes every call into *encoder (dispatch loop, EncodeBatch
+    // Serializes every call into *encoder (dispatch workers, EncodeBatch
     // misses, InvalidateCache, the reload swap) — per tenant, so one
-    // tenant's reload never blocks another tenant's encodes.
+    // tenant's reload never blocks another tenant's encodes. A worker only
+    // claims a tenant with inflight == 0, so workers never wait on it for
+    // each other.
     std::mutex encode_mu;
     // --- guarded by queue_mu_ ---
     size_t queued = 0;     // this tenant's requests sitting in the ring
@@ -328,9 +336,26 @@ class EncoderService {
   void DropCache(Tenant& tenant);
   // InvalidateCache's per-tenant body, without the invalidations count.
   Status InvalidateTenant(Tenant& tenant);
-  // Background thread: pops micro-batches, drops expired requests, groups
-  // by tenant, runs each tenant's encoder, fulfills promises.
+  // Sets stopping_ and joins every started worker; the first worker to see
+  // it fails whatever is still queued with kUnavailable.
+  void StopWorkers();
+  // One dispatch worker's loop: claims the oldest free tenant, pops its
+  // batch (PopTenantBatch), encodes it with inline kernels and fulfills the
+  // promises. Every worker runs it; they share the ring under queue_mu_.
   void DispatchLoop();
+  // Tenant of the oldest queued request whose tenant has nothing in flight
+  // (a batch being encoded, or a synchronous call); null when there is
+  // none. Caller holds queue_mu_.
+  TenantPtr OldestFreeTenant() const;
+  // Removes up to max_batch_size of `tenant`'s live requests from the ring,
+  // oldest first, and fails every expired request it passes (any tenant's)
+  // with kDeadlineExceeded; everything else stays queued in order. Caller
+  // holds queue_mu_.
+  std::vector<std::shared_ptr<Pending>> PopTenantBatch(
+      const Tenant& tenant, DeadlineClock::time_point now);
+  // Takes `p` off the admission books (ring gauge, tenant and client
+  // counts) once it has left the ring. Caller holds queue_mu_.
+  void Dequeued(const Pending& p);
   // Encodes one single-tenant batch under the tenant's encode mutex and
   // fills that tenant's cache partition. Installs the service's encode-path
   // sink for the duration.
@@ -347,12 +372,12 @@ class EncoderService {
   std::map<std::string, TenantPtr> tenants_;
 
   mutable std::mutex queue_mu_;
-  std::condition_variable queue_cv_;  // dispatcher wakeups + drain waiters
+  std::condition_variable queue_cv_;  // worker wakeups + drain waiters
   RequestRing<std::shared_ptr<Pending>> ring_;
   std::unordered_map<std::string, size_t> queued_per_client_;
   bool stopping_ = false;
 
-  std::thread dispatcher_;
+  std::vector<std::thread> workers_;  // the dispatch workers
 };
 
 }  // namespace preqr::serving

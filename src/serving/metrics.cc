@@ -2,6 +2,7 @@
 
 #include <cstdio>
 
+#include "common/thread_pool.h"
 #include "nn/buffer_pool.h"
 #include "nn/kernels_dispatch.h"
 
@@ -141,6 +142,15 @@ std::string ServingMetrics::DumpText() const {
   // Which kernel backend the process is running (info-style metric: the
   // value is always 1, the label carries the answer).
   std::snprintf(line, sizeof(line), "serving_kernel_impl_info{impl=\"%s\"} 1\n",
+                nn::kernels::ActiveImplName());
+  out += line;
+  // How this process executes encodes: the kernel pool's size, the
+  // service's dispatch workers, and the kernel backend.
+  std::snprintf(line, sizeof(line),
+                "serving_build_info{pool_threads=\"%d\",dispatch_workers=\"%lld\","
+                "kernel_impl=\"%s\"} 1\n",
+                ThreadPool::Global().num_threads(),
+                static_cast<long long>(dispatch_workers.value()),
                 nn::kernels::ActiveImplName());
   out += line;
   return out;

@@ -58,7 +58,7 @@ struct ServingMetrics {
                                // priority <= 0
   Counter deadline_rejected;   // kDeadlineExceeded on arrival (never queued)
   Counter deadline_dropped;    // kDeadlineExceeded while queued — dropped by
-                               // the dispatcher before encoding
+                               // a dispatch worker before encoding
   uint64_t ShedTotal() const {
     return shed_queue_full.value() + shed_client_quota.value() +
            shed_low_priority.value();
@@ -78,6 +78,7 @@ struct ServingMetrics {
   Counter tenant_deregistrations;  // DeregisterTenant drains that completed
 
   Gauge queue_depth;  // requests in the ring right now
+  Gauge dispatch_workers;  // the service's dispatch worker threads
 
   Histogram batch_size{1.0, 2.0, 12};
   Histogram encode_latency_us{1.0, 4.0, 16};  // cold path, per request

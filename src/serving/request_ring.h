@@ -53,10 +53,29 @@ class RequestRing {
   }
 
   // Read-only view of the i-th queued element (0 = oldest). Used by the
-  // dispatcher to bound its batch-window wait by the earliest deadline.
+  // dispatch workers to find the oldest tenant free to encode.
   const T& Peek(size_t i) const {
     PREQR_CHECK_LT(i, size());
     return slots_[(head_ + i) & mask_];
+  }
+
+  // Calls `take(element)` on every queued element, oldest first, and
+  // removes those it returns true for (it may move from them). The rest
+  // stay queued in their original order. Returns how many were removed.
+  template <typename Take>
+  size_t RemoveIf(Take&& take) {
+    uint64_t kept = head_;
+    for (uint64_t i = head_; i != tail_; ++i) {
+      T& slot = slots_[i & mask_];
+      if (take(slot)) continue;
+      if (kept != i) slots_[kept & mask_] = std::move(slot);
+      ++kept;
+    }
+    const size_t removed = static_cast<size_t>(tail_ - kept);
+    // Vacated slots drop whatever they still hold (e.g. a shared_ptr).
+    for (uint64_t i = kept; i != tail_; ++i) slots_[i & mask_] = T();
+    tail_ = kept;
+    return removed;
   }
 
  private:

@@ -47,7 +47,7 @@ std::vector<std::vector<double>> EmbeddingDistanceMatrix(
     baselines::QueryEncoder& encoder) {
   const size_t n = queries.size();
   // One batched call through the base interface: every encoder shares the
-  // call shape, and PreQR parallelizes the missing-prefix computation.
+  // call shape, and PreQR batches the missing-prefix computation.
   std::vector<std::vector<float>> embeddings;
   embeddings.reserve(n);
   for (auto& e : encoder.EncodeVectorBatch(queries, /*train=*/false)) {

@@ -157,8 +157,8 @@ std::vector<double> EstimatorModel::PredictAll(
     return out;
   }
   // Trainable encoders go through the batched base-interface entry point
-  // (PreQR computes missing frozen prefixes across the thread pool; other
-  // encoders fall back to the serial default).
+  // (PreQR computes the missing frozen prefixes as padded batches on this
+  // thread; other encoders fall back to the serial default).
   auto features = encoder_->EncodeVectorBatch(sqls, /*train=*/false);
   for (const auto& f : features) {
     out.push_back(ClampedExpm1(head_->Forward(f).item()));

@@ -7,6 +7,7 @@
 
 #include "automaton/symbol.h"
 #include "common/metrics.h"
+#include "common/thread_pool.h"
 #include "nn/ops.h"
 
 namespace preqr::tasks {
@@ -173,6 +174,11 @@ nn::Tensor PreqrEncoder::PoolReadOut(const nn::Tensor& tokens,
 std::vector<Status> PreqrEncoder::Resolve(const std::vector<std::string>& sqls,
                                           bool train, bool zero_fallback,
                                           const ReadOutFn& emit) {
+  // An encode is a whole unit of work for its caller's thread: its kernels
+  // run inline, never across the pool (callers that want parallelism run
+  // several encodes at once, like the serving dispatch workers). Backward
+  // passes over a train-mode encode run later, outside this scope.
+  InlineScope inline_kernels;
   // Inference encodes never take gradients; only fine-tuning (train=true)
   // needs the tape through the last layer and the read-out.
   std::optional<nn::NoGradGuard> no_grad;
@@ -195,8 +201,7 @@ std::vector<Status> PreqrEncoder::Resolve(const std::vector<std::string>& sqls,
     miss_of[i] = it->second;
   }
   // Missing frozen prefixes: one padded [B, T, d] forward per chunk of
-  // distinct misses (inside, the kernels parallelize over the flattened
-  // rows — far better occupancy than one task per query).
+  // distinct misses.
   std::vector<CachedQuery> computed;
   std::vector<Status> miss_status;
   ComputeQueriesBatched(miss_sqls, &computed, &miss_status);

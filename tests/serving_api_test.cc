@@ -1,28 +1,38 @@
 // The redesigned request/response serving API: deadlines (rejected on
 // arrival, dropped while queued), bounded-ring load shedding, per-client
 // admission fairness, priority reservation, async Submit, graceful drain
-// during ReloadModel, tenant-owner lifetime across deregistration, and
-// shutdown semantics — all with canonical status codes so callers can tell
-// bad input from shed load. Uses a gateable stub encoder so every race in
-// here is sequenced deterministically.
+// during ReloadModel, tenant-owner lifetime across deregistration,
+// shutdown semantics, and the K dispatch workers (a busy tenant never stalls
+// another, a tenant's encoder never sees two calls at once, served bits
+// match a solo encode) — all with canonical status codes so callers can
+// tell bad input from shed load. Uses a gateable stub encoder so every race
+// in here is sequenced deterministically.
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
+#include <cstring>
 #include <future>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <unordered_set>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "baselines/encoder.h"
+#include "common/thread_pool.h"
+#include "db/stats.h"
+#include "nn/kernels_dispatch.h"
 #include "nn/module.h"
 #include "nn/serialize.h"
 #include "serving/encoder_service.h"
 #include "serving/request_ring.h"
+#include "serving/tenant_registry.h"
+#include "workload/imdb.h"
+#include "workload/query_gen.h"
 
 namespace preqr::serving {
 namespace {
@@ -125,6 +135,40 @@ TEST(RequestRingTest, FifoOrderBoundedCapacityAndPeek) {
     EXPECT_EQ(v, round * 10);
   }
 }
+
+TEST(RequestRingTest, RemoveIfTakesMatchesAndKeepsTheRestInOrder) {
+  RequestRing<int> ring(8);
+  // Start past the array end so the kept elements wrap around.
+  int v = -1;
+  for (int i = 0; i < 6; ++i) {
+    ASSERT_TRUE(ring.TryPush(-1));
+    ASSERT_TRUE(ring.TryPop(&v));
+  }
+  for (int i = 0; i < 7; ++i) ASSERT_TRUE(ring.TryPush(i));
+  std::vector<int> taken;
+  const size_t removed = ring.RemoveIf([&](int& x) {
+    if (x % 2 != 0 || taken.size() >= 3) return false;
+    taken.push_back(x);
+    return true;
+  });
+  EXPECT_EQ(removed, 3u);
+  EXPECT_EQ(taken, (std::vector<int>{0, 2, 4}));
+  ASSERT_EQ(ring.size(), 4u);
+  for (int expected : {1, 3, 5, 6}) {
+    ASSERT_TRUE(ring.TryPop(&v));
+    EXPECT_EQ(v, expected);
+  }
+  EXPECT_TRUE(ring.empty());
+  EXPECT_EQ(ring.RemoveIf([](int&) { return true; }), 0u);
+}
+
+// Sizes the global pool, and with it the dispatch workers of every service
+// built while it lives, restoring the default afterwards. Declare it before
+// the service so the service is gone before the pool is rebuilt.
+struct ScopedPoolThreads {
+  explicit ScopedPoolThreads(int n) { ThreadPool::SetGlobalThreads(n); }
+  ~ScopedPoolThreads() { ThreadPool::SetGlobalThreads(0); }
+};
 
 TEST(ServingApiTest, ExpiredDeadlineRejectedBeforeAdmission) {
   StubEncoder stub;
@@ -684,6 +728,188 @@ TEST(ServingApiTest, DestructionFailsQueuedRequestsWithUnavailable) {
   auto r2 = f2.get();
   ASSERT_FALSE(r2.ok());
   EXPECT_EQ(r2.status().code(), StatusCode::kUnavailable);
+}
+
+// A tenant whose batch is stuck in its encoder does not hold up another
+// tenant's ring traffic: a free worker skips the busy tenant's queued
+// request and serves tenant b. A single dispatcher fails this.
+TEST(ServingApiTest, BusyTenantDoesNotStallAnotherTenantsRequests) {
+  ScopedPoolThreads pool(4);
+  StubEncoder stub_a, stub_b;
+  EncoderService service(&stub_a);
+  ASSERT_EQ(service.metrics().dispatch_workers.value(), 4);
+  ASSERT_TRUE(service.RegisterTenant("b", &stub_b).ok());
+  stub_a.CloseGate();
+  auto a1 = service.Submit(Req("a1"));
+  stub_a.WaitForCallsStarted(1);
+  // Older than b1, but its tenant is busy: it must wait its turn.
+  auto a2 = service.Submit(Req("a2"));
+  EncodeRequest b1 = Req("b1");
+  b1.tenant_id = "b";
+  auto fb = service.Submit(b1);
+  const bool b_served =
+      fb.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  // Release tenant a before asserting, so a failure cannot hang the test.
+  stub_a.OpenGate();
+  EXPECT_TRUE(b_served) << "tenant b waited behind tenant a's gated batch";
+  auto rb = fb.get();
+  ASSERT_TRUE(rb.ok()) << rb.status().ToString();
+  EXPECT_EQ(rb.value().tenant_id, "b");
+  EXPECT_TRUE(a1.get().ok());
+  EXPECT_TRUE(a2.get().ok());
+  // a2 coalesced into tenant a's next call instead of a second, concurrent
+  // one.
+  EXPECT_EQ(stub_a.seen(), (std::vector<std::string>{"a1", "a2"}));
+}
+
+// Counts overlapping calls; each call lingers so that a second, concurrent
+// call would show up.
+class OverlapCountingStub : public StubEncoder {
+ public:
+  std::vector<StatusOr<nn::Tensor>> TryEncodeVectorBatch(
+      const std::vector<std::string>& sqls, bool train) override {
+    const int now = ++active_;
+    int seen = max_active_.load();
+    while (now > seen && !max_active_.compare_exchange_weak(seen, now)) {
+    }
+    std::this_thread::sleep_for(microseconds(200));
+    auto out = StubEncoder::TryEncodeVectorBatch(sqls, train);
+    --active_;
+    return out;
+  }
+  int max_active() const { return max_active_.load(); }
+
+ private:
+  std::atomic<int> active_{0};
+  std::atomic<int> max_active_{0};
+};
+
+TEST(ServingApiTest, DispatchWorkersNeverOverlapOneTenantsEncoder) {
+  ScopedPoolThreads pool(8);
+  OverlapCountingStub stub_a, stub_b;
+  EncoderServiceOptions options;
+  options.ring_capacity = 1024;
+  options.per_client_quota = 1024;
+  EncoderService service(&stub_a, options);
+  ASSERT_EQ(service.metrics().dispatch_workers.value(), 8);
+  ASSERT_TRUE(service.RegisterTenant("b", &stub_b).ok());
+  constexpr int kClients = 8;
+  constexpr int kPerClient = 40;
+  std::atomic<int> failures{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      for (int k = 0; k < kPerClient; ++k) {
+        EncodeRequest r;
+        r.sql = "c" + std::to_string(c) + "-" + std::to_string(k);
+        r.tenant_id = (c + k) % 2 == 0 ? kDefaultTenantId : "b";
+        r.client_id = "client" + std::to_string(c);
+        if (!service.Encode(r).ok()) failures.fetch_add(1);
+      }
+    });
+  }
+  for (auto& th : clients) th.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(stub_a.max_active(), 1);
+  EXPECT_EQ(stub_b.max_active(), 1);
+  EXPECT_EQ(service.metrics().batched_queries.value(),
+            static_cast<uint64_t>(kClients * kPerClient));
+}
+
+// Two real PreQR tenants over differently seeded databases.
+TenantContext::Options RealTenantOptions(uint64_t seed) {
+  db::Database imdb = workload::MakeImdbDatabase(seed, 0.02);
+  TenantContext::Options options;
+  options.catalog = imdb.catalog();
+  options.stats = db::StatsCollector().AnalyzeAll(imdb);
+  workload::ImdbQueryGenerator gen(imdb, 3);
+  std::unordered_set<std::string> seen;
+  for (const auto& q : gen.Synthetic(16, 2)) {
+    if (seen.insert(q.sql).second) options.corpus.push_back(q.sql);
+  }
+  options.config.d_model = 32;
+  options.config.ffn_hidden = 64;
+  options.seed = 17 + seed;
+  return options;
+}
+
+TEST(ServingApiTest, ServedBitsUnderDispatchWorkersMatchSoloEncodes) {
+  ScopedPoolThreads pool(4);
+  // Per tenant: one context serves, an identical one is the solo reference
+  // (separate prefix caches, so nothing served can leak into the
+  // reference).
+  const std::vector<std::string> ids = {"", "b"};
+  std::vector<std::unique_ptr<TenantContext>> served, solo;
+  for (uint64_t t = 0; t < ids.size(); ++t) {
+    for (auto* list : {&served, &solo}) {
+      auto context = TenantContext::Create(RealTenantOptions(7 + t));
+      ASSERT_TRUE(context.ok()) << context.status().ToString();
+      list->push_back(std::move(context.value()));
+    }
+  }
+  const std::vector<std::string> corpus = RealTenantOptions(7).corpus;
+  ASSERT_GE(corpus.size(), 8u);
+  std::vector<std::vector<std::vector<float>>> expected(ids.size());
+  for (size_t t = 0; t < ids.size(); ++t) {
+    for (const auto& sql : corpus) {
+      auto v = solo[t]->encoder()->TryEncodeVector(sql, /*train=*/false);
+      ASSERT_TRUE(v.ok()) << v.status().ToString();
+      expected[t].push_back(v.value().vec());
+    }
+  }
+  EncoderServiceOptions options;
+  options.ring_capacity = 1024;
+  options.per_client_quota = 1024;
+  EncoderService service(served[0]->encoder(), options);
+  ASSERT_TRUE(service.RegisterTenant("b", served[1]->encoder()).ok());
+  // Eight clients, each walking both tenants' corpus in its own order, so
+  // both tenants are encoding at once and batches mix arrival orders.
+  std::atomic<int> failures{0}, mismatches{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < 8; ++c) {
+    clients.emplace_back([&, c] {
+      const size_t n = corpus.size();
+      for (size_t k = 0; k < 2 * n; ++k) {
+        const size_t t = (k + static_cast<size_t>(c)) % ids.size();
+        const size_t q = (k * 3 + static_cast<size_t>(c)) % n;
+        EncodeRequest r;
+        r.sql = corpus[q];
+        r.tenant_id = ids[t];
+        r.client_id = "client" + std::to_string(c);
+        auto got = service.Encode(r);
+        if (!got.ok()) {
+          failures.fetch_add(1);
+          continue;
+        }
+        const auto& bits = got.value().embedding.vec();
+        if (bits.size() != expected[t][q].size() ||
+            std::memcmp(bits.data(), expected[t][q].data(),
+                        bits.size() * sizeof(float)) != 0) {
+          mismatches.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& th : clients) th.join();
+  EXPECT_EQ(failures.load(), 0);
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_GT(service.metrics().cache_misses.value(), 0u);
+}
+
+TEST(ServingApiTest, BuildInfoLineNamesPoolWorkersAndKernelImpl) {
+  ScopedPoolThreads pool(3);
+  StubEncoder stub;
+  EncoderService service(&stub);
+  const std::string line =
+      std::string("serving_build_info{pool_threads=\"3\",dispatch_workers=\"3\","
+                  "kernel_impl=\"") +
+      nn::kernels::ActiveImplName() + "\"} 1\n";
+  const std::string dump = service.metrics().DumpText();
+  const size_t at = dump.find(line);
+  EXPECT_NE(at, std::string::npos) << dump;
+  // Exactly one such line, at the start of a line.
+  EXPECT_TRUE(at == 0 || dump[at - 1] == '\n');
+  EXPECT_EQ(dump.find("serving_build_info", at + 1), std::string::npos);
 }
 
 }  // namespace

@@ -1,10 +1,13 @@
 // Tests for the fixed-size ThreadPool and its ParallelFor helper: lifecycle,
 // full index coverage, exception propagation, nested calls, a stress run
-// with many tiny chunks, and callers not waiting on helpers that never ran.
+// with many tiny chunks, callers not waiting on helpers that never ran, and
+// InlineScope keeping every chunk on the calling thread.
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <future>
+#include <mutex>
+#include <set>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -155,6 +158,60 @@ TEST(ThreadPoolTest, ParallelForDoesNotWaitForUnstartedHelpers) {
   EXPECT_TRUE(returned)
       << "ParallelFor blocked on a helper the busy worker never started";
   EXPECT_EQ(count.load(), 4);
+}
+
+// Under an InlineScope every chunk of a multi-chunk ParallelFor runs on the
+// calling thread; scopes nest and restore the previous state, and a thread
+// outside any scope still fans out.
+TEST(ThreadPoolTest, InlineScopeRunsOnCaller) {
+  ThreadPool pool(8);
+  const std::thread::id caller = std::this_thread::get_id();
+  // 64 chunks; returns the set of threads that ran one.
+  auto runners = [&] {
+    std::mutex mu;
+    std::set<std::thread::id> ids;
+    int64_t covered = 0;
+    pool.ParallelFor(0, 64, 1, [&](int64_t b, int64_t e) {
+      std::lock_guard<std::mutex> lock(mu);
+      ids.insert(std::this_thread::get_id());
+      covered += e - b;
+    });
+    EXPECT_EQ(covered, 64);
+    return ids;
+  };
+  const std::set<std::thread::id> only_caller{caller};
+  {
+    InlineScope outer;
+    EXPECT_EQ(runners(), only_caller);
+    {
+      InlineScope inner;
+      EXPECT_EQ(runners(), only_caller);
+    }
+    // Leaving the inner scope restores the outer one, not the default.
+    EXPECT_EQ(runners(), only_caller);
+  }
+  // Out of every scope the pool fans out again: chunks that block until a
+  // second thread joins in can only finish on more than one thread.
+  std::atomic<int> started{0};
+  std::mutex mu;
+  std::set<std::thread::id> ids;
+  pool.ParallelFor(0, 2, 1, [&](int64_t, int64_t) {
+    {
+      std::lock_guard<std::mutex> lock(mu);
+      ids.insert(std::this_thread::get_id());
+    }
+    started.fetch_add(1);
+    while (started.load() < 2) std::this_thread::yield();
+  });
+  EXPECT_EQ(ids.size(), 2u);
+  // A scope belongs to its thread: another thread's scope keeps that
+  // thread's calls inline.
+  std::thread other([&] {
+    InlineScope scope;
+    const std::set<std::thread::id> only_other{std::this_thread::get_id()};
+    EXPECT_EQ(runners(), only_other);
+  });
+  other.join();
 }
 
 TEST(ThreadPoolTest, GlobalPoolRebuild) {
