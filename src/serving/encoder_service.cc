@@ -83,6 +83,7 @@ void EncoderService::StopWorkers() {
     std::lock_guard<std::mutex> lock(queue_mu_);
     stopping_ = true;
   }
+  work_cv_.notify_all();
   queue_cv_.notify_all();
   for (auto& worker : workers_) worker.join();
 }
@@ -304,8 +305,20 @@ std::optional<StatusOr<EncodeResponse>> EncoderService::AdmitOrResolve(
     pending->enqueued_at = Clock::now();
     PREQR_CHECK(ring_.TryPush(pending));
     metrics_.queue_depth.Increment();
+    if (!tenant->dispatching) {
+      // Takeable right now: one idle worker is enough.
+      lock.unlock();
+      work_cv_.notify_one();
+    } else if (options_.batch_window.count() > 0 &&
+               tenant->queued == static_cast<size_t>(options_.max_batch_size)) {
+      // The worker holding this tenant may be waiting out batch_window for
+      // exactly this: a full batch.
+      lock.unlock();
+      queue_cv_.notify_all();
+    }
+    // Otherwise the worker holding the tenant picks this request up when
+    // it rescans the ring after its batch.
   }
-  queue_cv_.notify_all();
   return std::nullopt;
 }
 
@@ -339,7 +352,7 @@ StatusOr<nn::Tensor> EncoderService::Encode(const std::string& sql) {
 EncoderService::TenantPtr EncoderService::OldestFreeTenant() const {
   for (size_t i = 0; i < ring_.size(); ++i) {
     const TenantPtr& tenant = ring_.Peek(i)->tenant;
-    if (tenant->inflight == 0) return tenant;
+    if (!tenant->dispatching) return tenant;
   }
   return nullptr;
 }
@@ -354,7 +367,8 @@ void EncoderService::Dequeued(const Pending& p) {
 }
 
 std::vector<std::shared_ptr<EncoderService::Pending>>
-EncoderService::PopTenantBatch(const Tenant& tenant, Clock::time_point now) {
+EncoderService::PopTenantBatch(const Tenant& tenant, Clock::time_point now,
+                               bool* wake_drains) {
   std::vector<std::shared_ptr<Pending>> batch;
   const size_t max_batch = static_cast<size_t>(options_.max_batch_size);
   ring_.RemoveIf([&](std::shared_ptr<Pending>& p) {
@@ -363,6 +377,7 @@ EncoderService::PopTenantBatch(const Tenant& tenant, Clock::time_point now) {
     // tenant's included, whenever a worker passes them.
     if (p->deadline <= now) {
       Dequeued(*p);
+      if (p->tenant->draining || p->tenant->closing) *wake_drains = true;
       metrics_.deadline_dropped.Increment();
       p->promise.set_value(
           Status::DeadlineExceeded("deadline expired while queued"));
@@ -387,7 +402,7 @@ void EncoderService::DispatchLoop() {
     Clock::time_point popped_at;
     {
       std::unique_lock<std::mutex> lock(queue_mu_);
-      queue_cv_.wait(lock, [&] {
+      work_cv_.wait(lock, [&] {
         return stopping_ || (tenant = OldestFreeTenant()) != nullptr;
       });
       if (stopping_) {
@@ -402,9 +417,13 @@ void EncoderService::DispatchLoop() {
         return;
       }
       // Claim the tenant while still under the lock: no other worker pops
-      // its requests until EndCall, and a drain started now waits for this
-      // batch too.
+      // its requests until ReleaseTenant, and a drain started now waits for
+      // this batch too.
+      tenant->dispatching = true;
       ++tenant->inflight;
+      // Pass the wake-up on when another tenant is still takeable, so an
+      // idle worker never sleeps past queued work.
+      if (OldestFreeTenant() != nullptr) work_cv_.notify_one();
       if (options_.batch_window.count() > 0 && tenant->queued < max_batch) {
         // Wait for the tenant's batch to fill, but never past its earliest
         // queued deadline — an expired request must be dropped, not slept
@@ -418,18 +437,19 @@ void EncoderService::DispatchLoop() {
           return stopping_ || tenant->queued >= max_batch;
         });
         if (stopping_) {
+          tenant->dispatching = false;
           --tenant->inflight;
           continue;  // top of loop fails the queue
         }
       }
       popped_at = Clock::now();
-      batch = PopTenantBatch(*tenant, popped_at);
+      bool wake_drains = false;
+      batch = PopTenantBatch(*tenant, popped_at, &wake_drains);
+      lock.unlock();
+      if (wake_drains) queue_cv_.notify_all();
       if (batch.empty()) {
-        // Everything it had queued expired: release the claim and wake the
-        // drains and workers that wait on it.
-        --tenant->inflight;
-        lock.unlock();
-        queue_cv_.notify_all();
+        // Everything it had queued expired.
+        ReleaseTenant(*tenant);
         continue;
       }
     }
@@ -463,10 +483,19 @@ void EncoderService::DispatchLoop() {
       response.encode_us = encode_us;
       batch[i]->promise.set_value(std::move(response));
     }
-    // Releases the claim: wakes the tenant's drains and the workers that
-    // skipped its newer requests while this batch ran.
-    EndCall(*tenant);
+    ReleaseTenant(*tenant);
   }
+}
+
+void EncoderService::ReleaseTenant(Tenant& tenant) {
+  bool drain_waits;
+  {
+    std::lock_guard<std::mutex> lock(queue_mu_);
+    tenant.dispatching = false;
+    --tenant.inflight;
+    drain_waits = tenant.draining || tenant.closing;
+  }
+  if (drain_waits) queue_cv_.notify_all();
 }
 
 std::vector<StatusOr<nn::Tensor>> EncoderService::EncodeLocked(
@@ -624,11 +653,14 @@ Status EncoderService::BeginCall(Tenant& tenant) {
 }
 
 void EncoderService::EndCall(Tenant& tenant) {
+  bool drain_waits;
   {
     std::lock_guard<std::mutex> lock(queue_mu_);
     --tenant.inflight;
+    // Only a reload or a deregistration waits on inflight.
+    drain_waits = tenant.draining || tenant.closing;
   }
-  queue_cv_.notify_all();
+  if (drain_waits) queue_cv_.notify_all();
 }
 
 void EncoderService::DropCache(Tenant& tenant) {

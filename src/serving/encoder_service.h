@@ -256,9 +256,9 @@ class EncoderService {
 
  private:
   // One hosted database: its encoder, optional model (for reloads), cache
-  // partition, and serialization point. `queued`, `inflight`, `draining`
-  // and `closing` are guarded by queue_mu_ — they drive the per-tenant
-  // drain conditions on queue_cv_.
+  // partition, and serialization point. `queued`, `inflight`,
+  // `dispatching`, `draining` and `closing` are guarded by queue_mu_ — they
+  // drive worker claims and the per-tenant drain conditions.
   struct Tenant {
     Tenant(std::string tenant_id, baselines::QueryEncoder* enc,
            nn::Module* mod, std::shared_ptr<const void> owned_by,
@@ -281,13 +281,14 @@ class EncoderService {
     std::shared_ptr<TenantMetrics> metrics;
     // Serializes every call into *encoder (dispatch workers, EncodeBatch
     // misses, InvalidateCache, the reload swap) — per tenant, so one
-    // tenant's reload never blocks another tenant's encodes. A worker only
-    // claims a tenant with inflight == 0, so workers never wait on it for
-    // each other.
+    // tenant's reload never blocks another tenant's encodes. At most one
+    // worker holds a tenant (`dispatching`), so a worker only ever waits
+    // on it behind a synchronous call, never behind another worker.
     std::mutex encode_mu;
     // --- guarded by queue_mu_ ---
     size_t queued = 0;     // this tenant's requests sitting in the ring
     int inflight = 0;      // batches being encoded right now (ring + sync)
+    bool dispatching = false;  // a dispatch worker holds this tenant
     bool draining = false; // a reload is waiting this tenant's work out
     bool closing = false;  // deregistration: refuse new work, drain the rest
   };
@@ -343,16 +344,24 @@ class EncoderService {
   // batch (PopTenantBatch), encodes it with inline kernels and fulfills the
   // promises. Every worker runs it; they share the ring under queue_mu_.
   void DispatchLoop();
-  // Tenant of the oldest queued request whose tenant has nothing in flight
-  // (a batch being encoded, or a synchronous call); null when there is
-  // none. Caller holds queue_mu_.
+  // Tenant of the oldest queued request whose tenant no dispatch worker
+  // holds; null when there is none. A synchronous call in flight does not
+  // make a tenant busy: the worker that takes it waits on encode_mu.
+  // Caller holds queue_mu_.
   TenantPtr OldestFreeTenant() const;
+  // Hands a claimed tenant back (clears `dispatching`, ends the in-flight
+  // count) and wakes its drain waiters, if any. The releasing worker
+  // rescans the ring before it sleeps, so no worker needs waking for the
+  // tenant's newer requests.
+  void ReleaseTenant(Tenant& tenant);
   // Removes up to max_batch_size of `tenant`'s live requests from the ring,
   // oldest first, and fails every expired request it passes (any tenant's)
-  // with kDeadlineExceeded; everything else stays queued in order. Caller
-  // holds queue_mu_.
+  // with kDeadlineExceeded; everything else stays queued in order. Sets
+  // *wake_drains when a dropped request belonged to a tenant that a reload
+  // or deregistration is draining, whose waiter the caller must wake once
+  // it lets go of queue_mu_. Caller holds queue_mu_.
   std::vector<std::shared_ptr<Pending>> PopTenantBatch(
-      const Tenant& tenant, DeadlineClock::time_point now);
+      const Tenant& tenant, DeadlineClock::time_point now, bool* wake_drains);
   // Takes `p` off the admission books (ring gauge, tenant and client
   // counts) once it has left the ring. Caller holds queue_mu_.
   void Dequeued(const Pending& p);
@@ -372,7 +381,11 @@ class EncoderService {
   std::map<std::string, TenantPtr> tenants_;
 
   mutable std::mutex queue_mu_;
-  std::condition_variable queue_cv_;  // worker wakeups + drain waiters
+  // Idle dispatch workers wait here, one woken per takeable request.
+  std::condition_variable work_cv_;
+  // Drain waiters, admissions parked behind a reload, and batch_window
+  // waits — everything that is not an idle worker.
+  std::condition_variable queue_cv_;
   RequestRing<std::shared_ptr<Pending>> ring_;
   std::unordered_map<std::string, size_t> queued_per_client_;
   bool stopping_ = false;

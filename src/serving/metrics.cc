@@ -139,13 +139,9 @@ std::string ServingMetrics::DumpText() const {
   const Histogram& waste = encode_path.padded_waste_pct();
   emit_value("encode_padded_waste_pct_mean", waste.mean());
   emit_value("encode_padded_waste_pct_p99", waste.Percentile(0.99));
-  // Which kernel backend the process is running (info-style metric: the
-  // value is always 1, the label carries the answer).
-  std::snprintf(line, sizeof(line), "serving_kernel_impl_info{impl=\"%s\"} 1\n",
-                nn::kernels::ActiveImplName());
-  out += line;
   // How this process executes encodes: the kernel pool's size, the
-  // service's dispatch workers, and the kernel backend.
+  // service's dispatch workers, and the kernel backend (info-style metric:
+  // the value is always 1, the labels carry the answer).
   std::snprintf(line, sizeof(line),
                 "serving_build_info{pool_threads=\"%d\",dispatch_workers=\"%lld\","
                 "kernel_impl=\"%s\"} 1\n",

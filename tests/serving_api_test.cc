@@ -3,10 +3,11 @@
 // admission fairness, priority reservation, async Submit, graceful drain
 // during ReloadModel, tenant-owner lifetime across deregistration,
 // shutdown semantics, and the K dispatch workers (a busy tenant never stalls
-// another, a tenant's encoder never sees two calls at once, served bits
-// match a solo encode) — all with canonical status codes so callers can
-// tell bad input from shed load. Uses a gateable stub encoder so every race
-// in here is sequenced deterministically.
+// another, queued requests progress behind synchronous batches, a tenant's
+// encoder never sees two calls at once, served bits match a solo encode) —
+// all with canonical status codes so callers can tell bad input from shed
+// load. Uses a gateable stub encoder so every race in here is sequenced
+// deterministically.
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -814,6 +815,92 @@ TEST(ServingApiTest, DispatchWorkersNeverOverlapOneTenantsEncoder) {
   EXPECT_EQ(stub_b.max_active(), 1);
   EXPECT_EQ(service.metrics().batched_queries.value(),
             static_cast<uint64_t>(kClients * kPerClient));
+}
+
+// Synchronous batches on a tenant do not keep the dispatch workers off it:
+// two callers keep at least one EncodeBatch in flight on tenant a at all
+// times, and a ring request for tenant a still completes. A worker that
+// skipped tenants with anything in flight would never take it.
+TEST(ServingApiTest, RingRequestProgressesBehindOverlappingSyncBatches) {
+  ScopedPoolThreads pool(4);
+  OverlapCountingStub stub;
+  EncoderService service(&stub);
+  std::atomic<bool> stop{false};
+  std::atomic<int> batch_failures{0};
+  std::vector<std::thread> batchers;
+  for (int t = 0; t < 2; ++t) {
+    batchers.emplace_back([&, t] {
+      // A fresh query every call: always a miss, always an encoder call.
+      for (int k = 0; !stop.load(); ++k) {
+        auto out = service.EncodeBatch(std::vector<std::string>{
+            "sync" + std::to_string(t) + "-" + std::to_string(k)});
+        if (!out[0].ok()) batch_failures.fetch_add(1);
+      }
+    });
+  }
+  stub.WaitForCallsStarted(2);
+  auto f = service.Submit(Req("queued"));
+  const bool served =
+      f.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  // Stop the batchers before asserting, so a failure cannot hang the test.
+  stop.store(true);
+  for (auto& th : batchers) th.join();
+  // On failure the service's destructor fails the starved request.
+  ASSERT_TRUE(served) << "ring request starved behind synchronous batches";
+  auto r = f.get();
+  ASSERT_TRUE(r.ok()) << r.status().ToString();
+  EXPECT_FALSE(r.value().cache_hit);
+  EXPECT_EQ(batch_failures.load(), 0);
+  // The worker waited its turn on the encode mutex: never two calls at once.
+  EXPECT_EQ(stub.max_active(), 1);
+}
+
+// A worker that claims tenant b drops tenant a's expired request as it
+// passes it in the ring. Tenant a never had a batch in flight, so that drop
+// is the only event that can end a reload draining tenant a; it must wake
+// the drain.
+TEST(ServingApiTest, ExpiredDropByAnotherTenantsWorkerWakesItsDrain) {
+  ScopedPoolThreads pool(1);
+  StubEncoder stub_a, stub_b;
+  EncoderService service(&stub_a);
+  ASSERT_TRUE(service.RegisterTenant("b", &stub_b).ok());
+  stub_b.CloseGate();
+  EncodeRequest b1 = Req("b1");
+  b1.tenant_id = "b";
+  auto fb1 = service.Submit(b1);
+  stub_b.WaitForCallsStarted(1);  // the only worker is held by tenant b
+  EncodeRequest b2 = Req("b2");
+  b2.tenant_id = "b";
+  auto fb2 = service.Submit(b2);
+  EncodeRequest a1 = Req("a1");
+  a1.deadline = DeadlineAfter(milliseconds(30));
+  auto fa1 = service.Submit(a1);
+  // No model is attached, so the reload fails — but only after its drain.
+  std::promise<Status> reload_status;
+  auto reloaded = reload_status.get_future();
+  std::thread reloader(
+      [&] { reload_status.set_value(service.ReloadModel("unused")); });
+  std::this_thread::sleep_for(milliseconds(60));
+  // The worker finishes b1, claims tenant b again for b2 (now the oldest
+  // request) and drops the expired a1 on the way.
+  stub_b.OpenGate();
+  const bool drained =
+      reloaded.wait_for(std::chrono::seconds(10)) == std::future_status::ready;
+  // Any wake-up on the drain's condition variable unsticks a missed one,
+  // so a failure cannot hang the test.
+  if (!drained) {
+    EXPECT_TRUE(service.DeregisterTenant("b").ok());
+  }
+  reloader.join();
+  EXPECT_TRUE(drained) << "the reload drain slept through a1's drop";
+  EXPECT_EQ(reloaded.get().code(), StatusCode::kInvalidArgument);
+  auto ra1 = fa1.get();
+  ASSERT_FALSE(ra1.ok());
+  EXPECT_EQ(ra1.status().code(), StatusCode::kDeadlineExceeded);
+  EXPECT_TRUE(fb1.get().ok());
+  EXPECT_TRUE(fb2.get().ok());
+  EXPECT_EQ(service.metrics().deadline_dropped.value(), 1u);
+  for (const auto& sql : stub_a.seen()) EXPECT_NE(sql, "a1");
 }
 
 // Two real PreQR tenants over differently seeded databases.
